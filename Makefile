@@ -14,19 +14,19 @@ test:
 
 # Race lane: the packages that fan work out across goroutines — the
 # prover worker pool, the segmented (continuation) proving crew, the
-# parallel fold tree, the epoch pipeline, the retrying remote
-# dispatcher, the metrics registry, the HTTP layer, the sharded UDP
-# ingest pipeline, the checkpointing ledger plus the light-client
-# sync that reads it, and the STARK math kernel (shared twiddle/ladder
-# caches, pooled scratch, chunk-parallel LDE/composition/FRI).
+# epoch pipeline, the prover farm's dispatcher and workers, the
+# metrics registry, the HTTP layer, the sharded UDP ingest pipeline,
+# the checkpointing ledger plus the light-client sync that reads it,
+# and the STARK math kernel (shared twiddle/ladder caches, pooled
+# scratch, chunk-parallel LDE/composition/FRI).
 race:
-	$(GO) test -race ./internal/zkvm ./internal/fold ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
 # Fuzz lane: each network/storage-facing decoder gets a short
 # randomized run on top of its committed seed + regression corpus,
 # plus the NTT round-trip property (the vectorized kernel against the
 # retained serial reference). `go test -fuzz` takes one target per
-# invocation, so this is nine runs; budget with FUZZTIME (default 10s
+# invocation, so this is eight runs; budget with FUZZTIME (default 10s
 # each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -35,7 +35,6 @@ fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 
@@ -62,8 +61,8 @@ bench-parallel:
 # EXPERIMENTS.md E14. Finishes by regenerating the committed benchmark
 # baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
 # sweep + E16 ingest throughput sweep + E17 light-client sync + E18
-# prover farm + E19 recursive fold + E20 math kernel); gate a branch
-# against it with `zkflow-benchdiff BENCH_PR10.json fresh.json`.
+# prover farm + E20 math kernel); gate a branch against it with
+# `zkflow-benchdiff BENCH_PR10.json fresh.json`.
 bench-commit:
 	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -run=^$$ ./internal/merkle

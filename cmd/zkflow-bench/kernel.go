@@ -7,7 +7,6 @@ import (
 
 	"zkflow/internal/fastagg"
 	"zkflow/internal/field"
-	"zkflow/internal/fold"
 	"zkflow/internal/gperm"
 	"zkflow/internal/poly"
 	"zkflow/internal/stark"
@@ -16,7 +15,7 @@ import (
 // KernelRow is one E20 measurement (the BENCH_PR*.json kernel
 // schema): either a raw transform throughput point (op "ntt",
 // ntt_melems_per_sec set) or a specialized chain proof (op
-// "agg_chain" / "fold_chain", agg_proof_ms / agg_verify_ms set).
+// "agg_chain", agg_proof_ms / agg_verify_ms set).
 // Rows are keyed by op/size/parallelism in zkflow-benchdiff, and the
 // gates are direction-aware: throughput regressing DOWN or latency
 // regressing UP fails the diff.
@@ -53,12 +52,10 @@ func nttThroughput(logN int) float64 {
 
 // expKernel is the E20 experiment: the STARK math kernel in
 // isolation, without any zkVM cost on top. Three NTT throughput
-// points, then the two chain shapes the system actually proves — the
-// specialized aggregation chain at n=8192 (the ~1000-record
-// sequential-work commitment E6 uses) and the fold's binding chain at
-// n=512 (= fold.ChainRows) — proved at Parallelism 1 so the gated
-// number is single-core kernel speed, comparable across PRs
-// regardless of the bench host's core count.
+// points, then the specialized aggregation chain at n=8192 (the
+// ~1000-record sequential-work commitment E6 uses) — proved at
+// Parallelism 1 so the gated number is single-core kernel speed,
+// comparable across PRs regardless of the bench host's core count.
 func expKernel() []KernelRow {
 	fmt.Println("=== E20: STARK math kernel — NTT throughput + specialized chain latency ===")
 	var rows []KernelRow
@@ -70,46 +67,38 @@ func expKernel() []KernelRow {
 		fmt.Printf("%-12s %8d %12d %12s %12s %14.2f\n", r.Op, r.Size, r.Parallelism, "-", "-", r.NTTMElemsPerSec)
 	}
 
+	const chainRows = 8192
 	var seed gperm.State
 	seed[0] = 9
-	for _, cfg := range []struct {
-		op string
-		n  int
-	}{
-		{"agg_chain", 8192},
-		{"fold_chain", fold.ChainRows},
-	} {
-		params := stark.DefaultParams
-		params.Parallelism = 1
-		// Warm twiddles, ladders, and the scratch pools so the
-		// measured run is the steady-state prover.
-		if _, err := fastagg.Prove(seed, cfg.n, params); err != nil {
-			log.Fatal(err)
-		}
-		t0 := time.Now()
-		proof, err := fastagg.Prove(seed, cfg.n, params)
-		if err != nil {
-			log.Fatal(err)
-		}
-		proveMs := ms(time.Since(t0))
-		t0 = time.Now()
-		if err := fastagg.Verify(proof, params); err != nil {
-			log.Fatal(err)
-		}
-		verifyMs := ms(time.Since(t0))
-		r := KernelRow{Op: cfg.op, Size: cfg.n, Parallelism: 1, AggProofMs: proveMs, AggVerifyMs: verifyMs}
-		rows = append(rows, r)
-		fmt.Printf("%-12s %8d %12d %9.1f ms %9.1f ms %14s\n",
-			r.Op, r.Size, r.Parallelism, proveMs, verifyMs, "-")
+	params := stark.DefaultParams
+	params.Parallelism = 1
+	// Warm twiddles, ladders, and the scratch pools so the measured
+	// run is the steady-state prover.
+	if _, err := fastagg.Prove(seed, chainRows, params); err != nil {
+		log.Fatal(err)
 	}
+	t0 := time.Now()
+	proof, err := fastagg.Prove(seed, chainRows, params)
+	if err != nil {
+		log.Fatal(err)
+	}
+	proveMs := ms(time.Since(t0))
+	t0 = time.Now()
+	if err := fastagg.Verify(proof, params); err != nil {
+		log.Fatal(err)
+	}
+	verifyMs := ms(time.Since(t0))
+	r := KernelRow{Op: "agg_chain", Size: chainRows, Parallelism: 1, AggProofMs: proveMs, AggVerifyMs: verifyMs}
+	rows = append(rows, r)
+	fmt.Printf("%-12s %8d %12d %9.1f ms %9.1f ms %14s\n",
+		r.Op, r.Size, r.Parallelism, proveMs, verifyMs, "-")
 	fmt.Println()
 	return rows
 }
 
 // kernelStageSplit prints where the specialized chain prover's time
 // goes — the stark substages (lde, commit, composition, fri) via the
-// same observer hook zkflowd's /api/v1/metrics consumes through
-// fold.Options.Observer.
+// stark.Params.Observer hook.
 func kernelStageSplit() {
 	fmt.Println("--- specialized chain (fastagg n=8192) STARK substages ---")
 	var seed gperm.State

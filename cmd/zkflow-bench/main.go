@@ -4,13 +4,13 @@
 //	-exp fig4         Figure 4: proof generation latency vs. #records
 //	-exp table1       Table 1: proof/journal/receipt sizes
 //	-exp tamper       §6 tamper experiment
-//	-exp parallel     §7 proof parallelization (segment + worker-pool fan-out)
+//	-exp parallel     §7 proof parallelization (worker-pool fan-out)
 //	-exp pipeline     epoch pipelining (witness N+1 overlaps seal N)
 //	-exp specialized  §7 specialized prover vs. zkVM hash throughput
 //	-exp ingest       E16: sustained UDP/inject collector throughput (flows/sec)
 //	-exp lightsync    E17: light-client proof sync vs full audit (bytes + ms)
 //	-exp farm         E18: distributed prover farm speedup + failover recovery
-//	-exp fold         E19: folded receipt bytes + verify ms vs segment count
+//	-exp kernel       E20: STARK math kernel (NTT throughput, chain latency)
 //	-exp all          everything above
 //
 // Absolute numbers differ from the paper's Threadripper + RISC Zero
@@ -34,12 +34,12 @@ import (
 	"zkflow/internal/api"
 	"zkflow/internal/clog"
 	"zkflow/internal/core"
-	"zkflow/internal/lightsync"
 	"zkflow/internal/fastagg"
 	"zkflow/internal/gperm"
 	"zkflow/internal/guest"
 	"zkflow/internal/ingest"
 	"zkflow/internal/ledger"
+	"zkflow/internal/lightsync"
 	"zkflow/internal/netflow"
 	"zkflow/internal/query"
 	"zkflow/internal/router"
@@ -177,7 +177,6 @@ type BenchReport struct {
 	Ingest        []IngestRow    `json:"ingest,omitempty"`
 	LightSync     []LightSyncRow `json:"lightsync,omitempty"`
 	Farm          []FarmRow      `json:"farm,omitempty"`
-	Fold          []FoldRow      `json:"fold,omitempty"`
 	Kernel        []KernelRow    `json:"kernel,omitempty"`
 }
 
@@ -297,7 +296,7 @@ func expTamper(checks int) {
 }
 
 func expParallel(checks int) {
-	fmt.Println("=== E5 / §7 proof parallelization: segments vs. proving time ===")
+	fmt.Println("=== E5 / §7 proof parallelization: worker-pool width vs. proving time ===")
 	in := genesisInput(5, 1000)
 	words := in.Words()
 	// Warm-up run so the first measured row does not absorb one-time
@@ -306,28 +305,13 @@ func expParallel(checks int) {
 		log.Fatal(err)
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("note: single-CPU host — segment fan-out cannot show wall-clock speedup here")
+		fmt.Println("note: single-CPU host — worker-pool fan-out cannot show wall-clock speedup here")
 	}
-	fmt.Printf("%10s  %14s  %8s\n", "segments", "agg proof", "speedup")
-	var base float64
-	for _, segs := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
-		t0 := time.Now()
-		_, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Checks: checks, Segments: segs})
-		if err != nil {
-			log.Fatal(err)
-		}
-		d := ms(time.Since(t0))
-		if base == 0 {
-			base = d
-		}
-		fmt.Printf("%10d  %12.0f ms  %7.2fx\n", segs, d, base/d)
-	}
-	fmt.Println()
-
 	// Worker-pool width: the same single-segment proof with the
-	// prover's internal table/tree commitment work fanned out.
+	// prover's table commitments, leaf hashing and tree levels fanned
+	// out.
 	fmt.Printf("%11s  %14s  %8s  (single segment)\n", "parallelism", "agg proof", "speedup")
-	base = 0
+	var base float64
 	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		t0 := time.Now()
 		_, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Checks: checks, Parallelism: w})
@@ -856,7 +840,7 @@ func kb(n int) float64           { return float64(n) / 1024 }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig4|table1|tamper|parallel|pipeline|specialized|profile|stages|continuations|ingest|lightsync|farm|fold|kernel|all")
+		exp      = flag.String("exp", "all", "experiment: fig4|table1|tamper|parallel|pipeline|specialized|profile|stages|continuations|ingest|lightsync|farm|kernel|all")
 		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
 		segCyc   = flag.Int("segment-cycles", 0, "prove sweep aggregations as continuation chains sliced every N cycles (0 = single-segment)")
 		csv      = flag.String("csv", "", "write the Figure 4 series as CSV to this path")
@@ -880,7 +864,6 @@ func main() {
 		report.Ingest = expIngest()
 		report.LightSync = expLightSync(*checks)
 		report.Farm = expFarm(*checks, *farmRecs)
-		report.Fold = expFold(*checks)
 		report.Kernel = expKernel()
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -921,8 +904,6 @@ func main() {
 		expLightSync(*checks)
 	case "farm":
 		expFarm(*checks, *farmRecs)
-	case "fold":
-		expFold(*checks)
 	case "kernel":
 		expKernel()
 	case "all":
@@ -938,7 +919,6 @@ func main() {
 		expIngest()
 		expLightSync(*checks)
 		expFarm(*checks, *farmRecs)
-		expFold(*checks)
 		expKernel()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

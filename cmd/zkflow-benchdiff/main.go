@@ -5,8 +5,10 @@
 //	zkflow-benchdiff -threshold 15 old.json new.json
 //
 // Every gated metric that got slower by more than the threshold
-// (default 10%) is listed and the tool exits nonzero, so CI can gate
-// future PRs on the committed baseline. Gated metrics: agg_proof_ms,
+// (default 10%) is listed and the tool exits 1, so CI can gate
+// future PRs on the committed baseline. Reports taken on different
+// environments (CPU count or sampled-check count) are not comparable:
+// the tool refuses them and exits 2 before any delta is computed. Gated metrics: agg_proof_ms,
 // query_proof_ms, agg_verify_ms per sweep row, and the stage-split
 // wall time. Verify times are few-millisecond quantities, so their
 // gate also requires an absolute slowdown above verifyNoiseFloorMs —
@@ -31,19 +33,11 @@
 // single-prover receipt fails unconditionally: that is a correctness
 // bug wearing a benchmark's clothes.
 //
-// Fold rows (E19) gate in both directions at once. Two hard caps are
-// absolute — fold_receipt_bytes above 2x the single-segment receipt,
-// or fold_verify_ms varying by more than 20% across segment counts
-// (the O(1)-verify claim), fail regardless of the baseline. Against
-// the baseline, fold_receipt_bytes and fold_verify_ms gate higher-is-
-// worse with their own noise floors, and fold_prove_ms gates like the
-// other proving times.
-//
 // Kernel rows (E20) are direction-aware per op. "ntt" rows gate on
 // ntt_melems_per_sec like throughput — lower is the regression — with
 // an absolute floor so timer wobble on a fast lane cannot fail CI.
-// Chain rows ("agg_chain", "fold_chain") gate agg_proof_ms like the
-// other proving times and agg_verify_ms like the verify times.
+// Chain rows ("agg_chain") gate agg_proof_ms like the other proving
+// times and agg_verify_ms like the verify times.
 //
 // Stdlib only: this is meant to run in the same bare container as the
 // benchmarks themselves.
@@ -103,18 +97,6 @@ type farmRow struct {
 	ByteIdentical      bool    `json:"byte_identical"`
 }
 
-type foldRow struct {
-	SegmentCycles    int     `json:"segment_cycles"`
-	Segments         int     `json:"segments"`
-	CompositeBytes   int     `json:"composite_bytes"`
-	CompositeVerMs   float64 `json:"composite_verify_ms"`
-	FoldProveMs      float64 `json:"fold_prove_ms"`
-	FoldReceiptBytes int     `json:"fold_receipt_bytes"`
-	FoldVerifyMs     float64 `json:"fold_verify_ms"`
-	MonoReceiptBytes int     `json:"mono_receipt_bytes"`
-	MonoVerifyMs     float64 `json:"mono_verify_ms"`
-}
-
 type kernelRow struct {
 	Op              string  `json:"op"`
 	Size            int     `json:"size"`
@@ -132,7 +114,6 @@ type benchReport struct {
 	Ingest    []ingestRow    `json:"ingest"`
 	LightSync []lightSyncRow `json:"lightsync"`
 	Farm      []farmRow      `json:"farm"`
-	Fold      []foldRow      `json:"fold"`
 	Kernel    []kernelRow    `json:"kernel"`
 }
 
@@ -176,8 +157,9 @@ func main() {
 		os.Exit(2)
 	}
 	if oldR.CPUs != newR.CPUs || oldR.Checks != newR.Checks {
-		fmt.Printf("note: environments differ (old: %d CPUs checks=%d, new: %d CPUs checks=%d) — deltas may not be comparable\n",
+		fmt.Fprintf(os.Stderr, "environments differ (old: %d CPUs checks=%d, new: %d CPUs checks=%d): deltas are not comparable; rerun the baseline on this environment\n",
 			oldR.CPUs, oldR.Checks, newR.CPUs, newR.Checks)
+		os.Exit(2)
 	}
 
 	var regressions []string
@@ -353,66 +335,6 @@ func main() {
 			}
 			fmt.Printf("%-18s  %7.2fx -> %-7.2fx %+5.1f%%  %6.1f -> %-6.1f %s\n",
 				fkey(n), o.SpeedupX, n.SpeedupX, spct, o.FailoverRecoveryMs, n.FailoverRecoveryMs, rd)
-		}
-	}
-
-	if len(newR.Fold) > 0 {
-		// Fold gates (E19). The experiment's two commitments are
-		// absolute: the folded receipt stays within 2x the
-		// single-segment receipt at any segment count, and fold verify
-		// time is flat — O(1) in segments — so the spread between the
-		// cheapest and dearest row may not exceed the flatness cap (with
-		// the usual absolute floor so sub-millisecond wobble at tiny
-		// proofs cannot trip it). Against the baseline, receipt bytes
-		// gate higher-is-worse with a floor of one FRI query's worth of
-		// growth (~4 KB, below which it is layout wobble, not a leak),
-		// verify like the other verify times, and fold_prove_ms like the
-		// proving times. Composite and mono columns are the comparison
-		// baselines and stay informational.
-		const foldFlatnessCapPct = 20.0
-		const foldBytesFloorB = 4096
-		oldFold := map[int]foldRow{}
-		for _, r := range oldR.Fold {
-			oldFold[r.Segments] = r
-		}
-		minVer, maxVer := newR.Fold[0].FoldVerifyMs, newR.Fold[0].FoldVerifyMs
-		fmt.Printf("\n%8s  %26s  %22s  %22s\n", "segments", "fold bytes old->new", "fold verify old->new", "fold prove old->new")
-		for _, n := range newR.Fold {
-			if n.MonoReceiptBytes > 0 && n.FoldReceiptBytes > 2*n.MonoReceiptBytes {
-				regressions = append(regressions, fmt.Sprintf("fold[%dseg]: folded receipt %d B > 2x mono %d B",
-					n.Segments, n.FoldReceiptBytes, n.MonoReceiptBytes))
-			}
-			if n.FoldVerifyMs < minVer {
-				minVer = n.FoldVerifyMs
-			}
-			if n.FoldVerifyMs > maxVer {
-				maxVer = n.FoldVerifyMs
-			}
-			o, ok := oldFold[n.Segments]
-			if !ok {
-				fmt.Printf("%8d  (no baseline)\n", n.Segments)
-				continue
-			}
-			bpct := 0.0
-			if o.FoldReceiptBytes > 0 {
-				bpct = 100 * float64(n.FoldReceiptBytes-o.FoldReceiptBytes) / float64(o.FoldReceiptBytes)
-			}
-			if bpct > *threshold && n.FoldReceiptBytes-o.FoldReceiptBytes > foldBytesFloorB {
-				regressions = append(regressions, fmt.Sprintf("fold[%dseg].receipt_bytes: %d -> %d (%+.1f%%)",
-					n.Segments, o.FoldReceiptBytes, n.FoldReceiptBytes, bpct))
-			}
-			vd := gateVerify(fmt.Sprintf("fold[%dseg].verify", n.Segments), o.FoldVerifyMs, n.FoldVerifyMs)
-			pd := gate(fmt.Sprintf("fold[%dseg].prove", n.Segments), o.FoldProveMs, n.FoldProveMs)
-			fmt.Printf("%8d  %9d -> %-9d %+5.1f%%  %6.1f -> %-6.1f %s  %6.0f -> %-6.0f %s\n",
-				n.Segments, o.FoldReceiptBytes, n.FoldReceiptBytes, bpct,
-				o.FoldVerifyMs, n.FoldVerifyMs, vd, o.FoldProveMs, n.FoldProveMs, pd)
-		}
-		if minVer > 0 && maxVer-minVer > verifyNoiseFloorMs {
-			if spread := 100 * (maxVer - minVer) / minVer; spread > foldFlatnessCapPct {
-				regressions = append(regressions, fmt.Sprintf(
-					"fold: verify not flat across segment counts: %.2f ms .. %.2f ms (%.0f%% spread, cap %.0f%%)",
-					minVer, maxVer, spread, foldFlatnessCapPct))
-			}
 		}
 	}
 

@@ -1,18 +1,9 @@
 // Command zkflow-worker is an off-path proving node (paper §7,
-// "off-path computation"). It runs in one of two modes:
-//
-// HTTP mode (default): a stateless HTTP service that executes guest
-// programs over submitted inputs and returns receipts. Point zkflowd
-// at it with -worker to move all heavy cryptographic work off the
-// collection path:
-//
-//	zkflow-worker -listen 127.0.0.1:8481
-//	zkflowd -worker http://127.0.0.1:8481
-//
-// Farm mode (-farm-addr): a prover-farm worker that dials the zkflowd
+// "off-path computation"): a prover-farm worker that dials the zkflowd
 // coordinator, registers its capacity, and proves dispatched jobs —
-// whole aggregations or individual zkVM segments — reconnecting with
-// backoff whenever the coordinator restarts or the link drops:
+// whole aggregations, queries or individual zkVM segments — moving
+// all heavy cryptographic work off the collection path. It reconnects
+// with backoff whenever the coordinator restarts or the link drops:
 //
 //	zkflowd -farm-addr 127.0.0.1:8491 -workers 4
 //	zkflow-worker -farm-addr 127.0.0.1:8491 -capacity 2 -name rack1
@@ -21,6 +12,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -32,15 +24,16 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:8481", "HTTP listen address (HTTP mode)")
-		farmAddr = flag.String("farm-addr", "", "farm coordinator address to dial (enables farm mode)")
-		capacity = flag.Int("capacity", 1, "concurrent proving jobs offered to the coordinator (farm mode)")
-		name     = flag.String("name", "", "worker display name reported to the coordinator (farm mode)")
+		farmAddr = flag.String("farm-addr", "", "farm coordinator address to dial (required)")
+		capacity = flag.Int("capacity", 1, "concurrent proving jobs offered to the coordinator")
+		name     = flag.String("name", "", "worker display name reported to the coordinator")
 	)
 	flag.Parse()
 
 	if *farmAddr == "" {
-		log.Fatal(remote.Serve(*listen))
+		fmt.Fprintln(os.Stderr, "zkflow-worker: -farm-addr is required")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"zkflow/internal/core"
-	"zkflow/internal/fold"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
 	"zkflow/internal/obs"
@@ -95,11 +94,10 @@ type EpochProofResponse struct {
 
 // ReceiptHint names one aggregation round a light client may sample:
 // the round index to fetch, the epoch it sealed, its wire size, and
-// the receipt kind — "single" (one-segment zkvm receipt), "composite"
-// (continuation chain, size grows with segment count), or "folded"
-// (recursive aggregate, bounded size and O(1) verify regardless of
-// segment count). Clients budgeting a sampling pass use Kind+Bytes;
-// verification itself dispatches on the receipt's own magic.
+// the receipt kind — "single" (one-segment zkvm receipt) or
+// "composite" (continuation chain, size grows with segment count).
+// Clients budgeting a sampling pass use Kind+Bytes; verification
+// itself dispatches on the receipt's own magic.
 type ReceiptHint struct {
 	Round int    `json:"round"`
 	Epoch uint64 `json:"epoch"`
@@ -111,23 +109,7 @@ type ReceiptHint struct {
 const (
 	ReceiptKindSingle    = "single"
 	ReceiptKindComposite = "composite"
-	ReceiptKindFolded    = "folded"
-	ReceiptKindOther     = "other" // future registered kinds
 )
-
-// receiptKindOf labels a receipt for the hints surface.
-func receiptKindOf(r zkvm.AnyReceipt) string {
-	switch r.(type) {
-	case *zkvm.Receipt:
-		return ReceiptKindSingle
-	case *zkvm.CompositeReceipt:
-		return ReceiptKindComposite
-	case *fold.FoldedReceipt:
-		return ReceiptKindFolded
-	default:
-		return ReceiptKindOther
-	}
-}
 
 // SyncHints is GET /api/v1/sync/hints: what a spot-checking client
 // needs to plan a sampled verification pass. SuggestedSamples
@@ -181,18 +163,11 @@ var AllErrorCodes = []string{
 
 // servedReceipt is one sealed aggregation round: its wire bytes, the
 // epoch it covered, and the strong ETag the immutable route serves.
-// audit is the round's self-sound form — for folded rounds the
-// retained pre-fold composite, otherwise the receipt bytes themselves
-// (a single or composite receipt is its own audit artifact); nil when
-// a folded round was registered without its composite, in which case
-// the audit route answers 404 and sound auditors cannot escalate.
 type servedReceipt struct {
-	epoch     uint64
-	bin       []byte
-	etag      string
-	kind      string
-	audit     []byte
-	auditEtag string
+	epoch uint64
+	bin   []byte
+	etag  string
+	kind  string
 }
 
 // Server serves the operator's public artifacts.
@@ -220,29 +195,21 @@ func NewServer(p *core.Prover, lg *ledger.Ledger) *Server {
 func (s *Server) UseRegistry(reg *obs.Registry) { s.metrics = reg }
 
 // AddAggregation registers a completed round's receipt for serving —
-// single-segment, a continuation composite, or a folded aggregate;
-// the wire format is the receipt's own magic-tagged binary encoding
-// either way, served under a strong ETag with immutable caching.
-// epoch is the epoch the round sealed (AggregationResult.Epoch); it
-// keys the sync-hint and sampling surface.
+// single-segment or a continuation composite; the wire format is the
+// receipt's own magic-tagged binary encoding either way, served under
+// a strong ETag with immutable caching. epoch is the epoch the round
+// sealed (AggregationResult.Epoch); it keys the sync-hint and sampling
+// surface.
 func (s *Server) AddAggregation(epoch uint64, r zkvm.AnyReceipt) error {
-	return s.addAggregation(epoch, r, nil)
-}
-
-// AddAggregationResult registers a completed round from its full
-// AggregationResult, retaining the pre-fold composite (when present)
-// as the round's audit artifact at
-// /api/v1/receipts/agg/{round}/audit. Operators serving folded
-// receipts should prefer this over AddAggregation so sound auditors
-// can escalate a folded round to full composite verification; a
-// folded round registered without its composite serves 404 on the
-// audit route and can only be accepted by clients that opted into
-// trusting the operator.
-func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
-	return s.addAggregation(res.Epoch, res.Receipt, res.Composite)
-}
-
-func (s *Server) addAggregation(epoch uint64, r zkvm.AnyReceipt, comp *zkvm.CompositeReceipt) error {
+	var kind string
+	switch r.(type) {
+	case *zkvm.Receipt:
+		kind = ReceiptKindSingle
+	case *zkvm.CompositeReceipt:
+		kind = ReceiptKindComposite
+	default:
+		return fmt.Errorf("api: unsupported receipt type %T", r)
+	}
 	bin, err := r.MarshalBinary()
 	if err != nil {
 		return err
@@ -252,27 +219,18 @@ func (s *Server) addAggregation(epoch uint64, r zkvm.AnyReceipt, comp *zkvm.Comp
 		epoch: epoch,
 		bin:   bin,
 		etag:  `"agg-` + hex.EncodeToString(sum[:12]) + `"`,
-		kind:  receiptKindOf(r),
-	}
-	switch {
-	case comp != nil:
-		audit, err := comp.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		asum := sha256.Sum256(audit)
-		rec.audit = audit
-		rec.auditEtag = `"aud-` + hex.EncodeToString(asum[:12]) + `"`
-	case rec.kind != ReceiptKindFolded:
-		// A single or composite receipt is already self-sound: it is
-		// its own audit form.
-		rec.audit = bin
-		rec.auditEtag = `"aud-` + hex.EncodeToString(sum[:12]) + `"`
+		kind:  kind,
 	}
 	s.mu.Lock()
 	s.receipts = append(s.receipts, rec)
 	s.mu.Unlock()
 	return nil
+}
+
+// AddAggregationResult registers a completed round from its
+// AggregationResult (see AddAggregation).
+func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
+	return s.AddAggregation(res.Epoch, res.Receipt)
 }
 
 // RouteInfo describes one registered route — the single source of
@@ -313,7 +271,6 @@ func (s *Server) routes() []route {
 		{RouteInfo{Name: "checkpoints", Method: http.MethodGet, Pattern: "/api/v1/checkpoints", Probe: "/api/v1/checkpoints", CacheProbe: "/api/v1/checkpoints?epoch=0"}, s.handleCheckpoints},
 		{RouteInfo{Name: "sync_hints", Method: http.MethodGet, Pattern: "/api/v1/sync/hints", Probe: "/api/v1/sync/hints"}, s.handleSyncHints},
 		{RouteInfo{Name: "receipts_agg", Method: http.MethodGet, Pattern: "/api/v1/receipts/agg/{round}", Probe: "/api/v1/receipts/agg/0", CacheProbe: "/api/v1/receipts/agg/0"}, s.handleReceipt},
-		{RouteInfo{Name: "receipts_agg_audit", Method: http.MethodGet, Pattern: "/api/v1/receipts/agg/{round}/audit", Probe: "/api/v1/receipts/agg/0/audit", CacheProbe: "/api/v1/receipts/agg/0/audit"}, s.handleReceiptAudit},
 		{RouteInfo{Name: "query", Method: http.MethodPost, Pattern: "/api/v1/query"}, s.handleQuery},
 		{RouteInfo{Name: "metrics", Method: http.MethodGet, Pattern: "/api/v1/metrics", Probe: "/api/v1/metrics"}, s.handleMetrics},
 		{RouteInfo{Name: "other", Pattern: "/api/v1/"}, func(w http.ResponseWriter, r *http.Request) {
@@ -670,41 +627,6 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 	written, err := w.Write(rec.bin)
 	if err != nil {
 		log.Printf("api: writing receipt %d: %v", n, err)
-	}
-	if s.receiptBytes != nil {
-		s.receiptBytes.Add(uint64(written))
-	}
-}
-
-// handleReceiptAudit serves a round's self-sound audit artifact: the
-// pre-fold composite for folded rounds, the receipt bytes themselves
-// otherwise. 404 when the round exists but the operator did not
-// retain a folded round's composite.
-func (s *Server) handleReceiptAudit(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("round"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "round index must be an integer")
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n < 0 || n >= len(s.receipts) {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("round %d not aggregated yet", n))
-		return
-	}
-	rec := s.receipts[n]
-	if rec.audit == nil {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("round %d has no audit artifact: the operator did not retain the pre-fold composite", n))
-		return
-	}
-	if s.immutable(w, r, rec.auditEtag) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	written, err := w.Write(rec.audit)
-	if err != nil {
-		log.Printf("api: writing audit artifact %d: %v", n, err)
 	}
 	if s.receiptBytes != nil {
 		s.receiptBytes.Add(uint64(written))

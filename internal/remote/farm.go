@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"zkflow/internal/gperm"
 	"zkflow/internal/obs"
 	"zkflow/internal/zkvm"
 )
@@ -45,11 +44,12 @@ type FarmConfig struct {
 	HeartbeatMiss int
 	// Metrics receives the farm's observability stream (nil = a
 	// private registry): farm.workers, farm.jobs_queued,
-	// farm.jobs_inflight, farm.jobs_dispatched, farm.jobs_requeued,
-	// farm.steals, farm.results_ok/err/duplicate counters, and the
-	// per-worker farm.worker.<name>.in_flight / .stolen / .requeued /
-	// .heartbeat_age_ms / .rate_milli gauges (rate_milli is the EWMA
-	// segment throughput in segments-per-second, scaled by 1000).
+	// farm.jobs_inflight and farm.heartbeat_age_ms_max gauges, and
+	// farm.jobs_dispatched, farm.jobs_requeued, farm.steals,
+	// farm.results_ok/err/duplicate, farm.bad_frames and
+	// farm.workers_dead counters. Every name is fixed: worker names
+	// come from an unauthenticated hello, so none is ever minted into
+	// a metric name, and reconnects never grow the registry.
 	Metrics *obs.Registry
 }
 
@@ -70,7 +70,6 @@ type farmJob struct {
 	segIndex uint32
 	seed     [32]byte
 	req      []byte
-	aux      []byte // fold-leaf payload
 
 	home         uint32 // planned worker at enqueue time (0 = none yet)
 	attempts     int
@@ -102,12 +101,6 @@ type farmWorker struct {
 	// throughput (segments/second), sampled on every completed segment
 	// job. Zero until the first sample lands.
 	rate float64
-
-	gInFlight *obs.Gauge
-	gStolen   *obs.Gauge
-	gRequeued *obs.Gauge
-	gBeatAge  *obs.Gauge
-	gRate     *obs.Gauge
 }
 
 // free returns the worker's free job slots.
@@ -140,9 +133,6 @@ func (w *farmWorker) observeRate(elapsed time.Duration, occupancy int) {
 	} else {
 		w.rate = rateAlpha*sample + (1-rateAlpha)*w.rate
 	}
-	if w.gRate != nil {
-		w.gRate.Set(int64(w.rate * 1000))
-	}
 }
 
 // expectedScore ranks a worker for dispatch: measured throughput
@@ -160,8 +150,7 @@ func (w *farmWorker) expectedScore(prior float64, extra int) float64 {
 
 // Coordinator accepts worker registrations and dispatches proving
 // jobs. It implements core.Backend (ProveContext) and core.ProveFunc
-// (Prove), so it drops into core.Options beside the local prover and
-// the HTTP client.
+// (Prove), so it drops into core.Options beside the local prover.
 type Coordinator struct {
 	cfg FarmConfig
 
@@ -177,10 +166,10 @@ type Coordinator struct {
 	ln       net.Listener
 	dispatch sync.WaitGroup
 
-	reg          *obs.Registry
 	gWorkers     *obs.Gauge
 	gQueued      *obs.Gauge
 	gInflight    *obs.Gauge
+	gBeatAgeMax  *obs.Gauge
 	cDispatched  *obs.Counter
 	cRequeued    *obs.Counter
 	cSteals      *obs.Counter
@@ -208,10 +197,10 @@ func NewCoordinator(cfg FarmConfig) *Coordinator {
 		cfg:          cfg,
 		workers:      make(map[uint32]*farmWorker),
 		closeCh:      make(chan struct{}),
-		reg:          reg,
 		gWorkers:     reg.Gauge("farm.workers"),
 		gQueued:      reg.Gauge("farm.jobs_queued"),
 		gInflight:    reg.Gauge("farm.jobs_inflight"),
+		gBeatAgeMax:  reg.Gauge("farm.heartbeat_age_ms_max"),
 		cDispatched:  reg.Counter("farm.jobs_dispatched"),
 		cRequeued:    reg.Counter("farm.jobs_requeued"),
 		cSteals:      reg.Counter("farm.steals"),
@@ -384,14 +373,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	if w.name == "" {
 		w.name = fmt.Sprintf("worker-%d", w.id)
 	}
-	prefix := "farm.worker." + w.name
-	w.gInFlight = c.reg.Gauge(prefix + ".in_flight")
-	w.gStolen = c.reg.Gauge(prefix + ".stolen")
-	w.gRequeued = c.reg.Gauge(prefix + ".requeued")
-	w.gBeatAge = c.reg.Gauge(prefix + ".heartbeat_age_ms")
-	w.gRate = c.reg.Gauge(prefix + ".rate_milli")
-	w.gInFlight.Set(0)
-	w.gBeatAge.Set(0)
 	c.workers[w.id] = w
 	c.gWorkers.Set(int64(len(c.workers)))
 	c.cond.Broadcast()
@@ -463,7 +444,6 @@ func (c *Coordinator) killWorker(w *farmWorker, reason string) {
 		delete(w.inflight, id)
 		orphans = append(orphans, j)
 	}
-	w.gInFlight.Set(0)
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].segIndex < orphans[j].segIndex })
 	requeued := 0
 	for i := len(orphans) - 1; i >= 0; i-- {
@@ -476,7 +456,6 @@ func (c *Coordinator) killWorker(w *farmWorker, reason string) {
 	}
 	if requeued > 0 {
 		c.cRequeued.Add(uint64(requeued))
-		w.gRequeued.Add(int64(requeued))
 		c.gQueued.Set(int64(len(c.queue)))
 	}
 	c.gInflight.Add(-int64(len(orphans)))
@@ -499,7 +478,6 @@ func (c *Coordinator) handleResult(w *farmWorker, res resultMsg) {
 		return
 	}
 	delete(w.inflight, res.JobID)
-	w.gInFlight.Set(int64(len(w.inflight)))
 	c.gInflight.Add(-1)
 	if j.delivered {
 		c.cResultsDup.Inc()
@@ -511,8 +489,8 @@ func (c *Coordinator) handleResult(w *farmWorker, res resultMsg) {
 	if res.OK {
 		c.cResultsOK.Inc()
 		// Segment completions feed the throughput EWMA the dispatcher
-		// scores workers by. Whole runs and fold leaves have a
-		// different cost scale, so they do not pollute the estimate.
+		// scores workers by. Whole runs have a different cost scale,
+		// so they do not pollute the estimate.
 		if j.mode == jobSegment && !j.dispatchedAt.IsZero() {
 			// len(w.inflight) is post-delete, so +1 counts this job in
 			// the worker's concurrent occupancy at completion time.
@@ -581,18 +559,16 @@ func (c *Coordinator) dispatchLoop() {
 			// worker (or re-queued off a dead one) and a freer worker
 			// pulled it first.
 			c.cSteals.Inc()
-			w.gStolen.Add(1)
 		}
 		w.inflight[j.id] = j
 		j.dispatchedAt = time.Now()
-		w.gInFlight.Set(int64(len(w.inflight)))
 		c.gQueued.Set(int64(len(c.queue)))
 		c.gInflight.Add(1)
 		c.cDispatched.Inc()
 		c.mu.Unlock()
 
 		if err := c.send(w, frameJob, encodeJob(jobMsg{
-			JobID: j.id, Mode: j.mode, SegIndex: j.segIndex, Seed: j.seed, Req: j.req, Aux: j.aux,
+			JobID: j.id, Mode: j.mode, SegIndex: j.segIndex, Seed: j.seed, Req: j.req,
 		})); err != nil {
 			c.killWorker(w, "job write failed")
 		}
@@ -646,7 +622,8 @@ func (c *Coordinator) pickWorkerLocked() *farmWorker {
 
 // monitorLoop watches heartbeats: a worker whose last heartbeat is
 // older than HeartbeatEvery*HeartbeatMiss is declared dead. It also
-// refreshes the per-worker heartbeat-age gauges.
+// refreshes farm.heartbeat_age_ms_max, the oldest heartbeat among the
+// live workers (0 with none registered).
 func (c *Coordinator) monitorLoop() {
 	defer c.dispatch.Done()
 	tick := time.NewTicker(c.cfg.HeartbeatEvery)
@@ -659,14 +636,16 @@ func (c *Coordinator) monitorLoop() {
 			return
 		}
 		var stale []*farmWorker
+		var oldest time.Duration
 		now := time.Now()
 		for _, w := range c.workers {
 			age := now.Sub(w.lastBeat)
-			w.gBeatAge.Set(age.Milliseconds())
+			oldest = max(oldest, age)
 			if age > deadline {
 				stale = append(stale, w)
 			}
 		}
+		c.gBeatAgeMax.Set(oldest.Milliseconds())
 		c.mu.Unlock()
 		for _, w := range stale {
 			c.killWorker(w, "missed heartbeats")
@@ -687,7 +666,7 @@ func (c *Coordinator) monitorLoop() {
 // workers and no faults the steal count stays near zero, and it grows
 // exactly when throughput imbalance or failover makes the central
 // queue earn its keep.
-func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req, aux []byte) (*farmJob, error) {
+func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req []byte) (*farmJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -695,7 +674,7 @@ func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req, au
 	}
 	c.nextJID++
 	j := &farmJob{
-		id: c.nextJID, mode: mode, segIndex: segIndex, seed: seed, req: req, aux: aux,
+		id: c.nextJID, mode: mode, segIndex: segIndex, seed: seed, req: req,
 		done: make(chan jobOutcome, 1),
 	}
 	prior := c.meanRateLocked()
@@ -760,7 +739,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		jobs := make([]*farmJob, n)
 		for i := 0; i < n; i++ {
-			j, err := c.enqueue(jobSegment, uint32(i), seed, req, nil)
+			j, err := c.enqueue(jobSegment, uint32(i), seed, req)
 			if err != nil {
 				return nil, err
 			}
@@ -786,7 +765,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		return c.checkReceipt(prog, comp, opts)
 	}
-	j, err := c.enqueue(jobWhole, 0, seed, req, nil)
+	j, err := c.enqueue(jobWhole, 0, seed, req)
 	if err != nil {
 		return nil, err
 	}
@@ -812,59 +791,9 @@ func (c *Coordinator) abandonJobs(jobs []*farmJob) {
 	c.mu.Unlock()
 }
 
-// FoldLeaves fans the fold leaf stage out across the farm: each
-// segment receipt is dispatched as one jobFoldLeaf — the worker
-// verifies the receipt's seal under vopts and returns its fold-tree
-// leaf digest. The returned digests are in segment order, compatible
-// with fold.Options.Leaves.
-//
-// Trust stance: the digest cross-check in fold.Fold protects the fold
-// root's *integrity* (a lying worker cannot corrupt it), but the
-// digest is a cheap hash of the receipt bytes — it cannot prove the
-// worker actually ran zkvm.VerifySegment, which is the only expensive
-// part and the whole point of the job. A compromised worker can
-// return correct digests while skipping seal verification entirely.
-// Farmed leaf stages therefore require workers trusted to do the
-// work; fold.Options.SpotChecks re-verifies a random sample of seals
-// locally to bound the risk of a silently skipping worker.
-func (c *Coordinator) FoldLeaves(ctx context.Context, prog *zkvm.Program, segs []*zkvm.SegmentReceipt, vopts zkvm.VerifyOptions) ([]gperm.Digest, error) {
-	req := EncodeRequest(prog, nil, zkvm.ProveOptions{})
-	jobs := make([]*farmJob, len(segs))
-	for i, sr := range segs {
-		raw, err := zkvm.MarshalSegmentReceipt(sr)
-		if err != nil {
-			return nil, fmt.Errorf("remote: fold leaf %d: %w", i, err)
-		}
-		j, err := c.enqueue(jobFoldLeaf, uint32(i), [32]byte{}, req, encodeFoldLeaf(vopts, raw))
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = j
-	}
-	leaves := make([]gperm.Digest, len(segs))
-	for i, j := range jobs {
-		payload, err := c.await(ctx, j)
-		if err != nil {
-			c.abandonJobs(jobs[i+1:])
-			return nil, fmt.Errorf("remote: fold leaf %d: %w", i, err)
-		}
-		d, err := decodeLeafDigest(payload)
-		if err != nil {
-			c.abandonJobs(jobs[i+1:])
-			return nil, fmt.Errorf("%w: fold leaf %d: %v", ErrRemote, i, err)
-		}
-		leaves[i] = d
-	}
-	return leaves, nil
-}
-
 // checkReceipt locally re-verifies a farm-assembled receipt before
-// handing it to the caller — same trust stance as Client.check: a
-// buggy or compromised worker cannot slip an invalid receipt into the
-// aggregation chain. AcceptProverTrusted stays off: a worker has no
-// business returning a prover-trusted kind (e.g. a folded receipt)
-// whose verification would not re-establish the execution, so
-// VerifyAny rejecting those by default is exactly right here.
+// handing it to the caller: a buggy or compromised worker cannot slip
+// an invalid receipt into the aggregation chain.
 func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: farm returned a receipt for image %v", ErrRemote, receipt.Image())

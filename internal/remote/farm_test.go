@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -259,5 +261,68 @@ func TestFarmCapacityAwareDispatchAndSteals(t *testing.T) {
 	}
 	if reg.Counter("farm.jobs_requeued").Value() == 0 {
 		t.Error("no requeues recorded")
+	}
+}
+
+// TestFarmMetricNamesBounded: worker churn must not grow the metrics
+// registry. Fifty hello/disconnect cycles — unnamed workers, which the
+// coordinator numbers from a counter that only rises, and named ones
+// with names chosen by the peer — leave the set of metric names
+// exactly as the coordinator registered it.
+func TestFarmMetricNamesBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := testFarm(t, reg)
+	names := func() map[string]bool {
+		s := reg.Snapshot()
+		out := make(map[string]bool)
+		for n := range s.Counters {
+			out["c:"+n] = true
+		}
+		for n := range s.Gauges {
+			out["g:"+n] = true
+		}
+		for n := range s.Histograms {
+			out["h:"+n] = true
+		}
+		return out
+	}
+	before := names()
+	for i := 0; i < 50; i++ {
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := ""
+		if i%2 == 1 {
+			name = fmt.Sprintf("peer-%d", i)
+		}
+		if err := writeFrame(conn, frameHello, encodeHello(helloMsg{Name: name, Capacity: 1})); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := readFrame(conn); err != nil || typ != frameWelcome {
+			t.Fatalf("cycle %d: no welcome (frame %#x, err %v)", i, typ, err)
+		}
+		conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Workers() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: disconnected worker still registered", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	after := names()
+	for n := range after {
+		if !before[n] {
+			t.Errorf("worker churn added metric %q", n)
+		}
+	}
+	for n := range before {
+		if !after[n] {
+			t.Errorf("worker churn removed metric %q", n)
+		}
+	}
+	if got := reg.Counter("farm.workers_dead").Value(); got != 50 {
+		t.Fatalf("farm.workers_dead = %d, want 50", got)
 	}
 }

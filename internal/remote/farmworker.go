@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"zkflow/internal/fold"
 	"zkflow/internal/obs"
 	"zkflow/internal/zkvm"
 )
@@ -48,17 +47,11 @@ type WorkerConfig struct {
 type WorkerJob struct {
 	ID       uint64
 	Segment  bool // one segment of a continuation chain
-	FoldLeaf bool // verify a segment receipt and digest it
 	SegIndex int
 	Seed     [32]byte
 	Prog     *zkvm.Program
 	Input    []uint32
 	Opts     zkvm.ProveOptions
-
-	// Fold-leaf payload: the verification policy and the marshalled
-	// segment receipt to verify.
-	VerifyOpts  zkvm.VerifyOptions
-	LeafReceipt []byte
 }
 
 // ProveJobFunc proves one job, returning the wire payload (a
@@ -178,28 +171,9 @@ func (rc *runCache) drain() {
 }
 
 // defaultProveJob proves a job locally: segment jobs through the
-// shared run cache, whole jobs via the deterministic seeded provers,
-// fold-leaf jobs by verifying the carried segment receipt and
-// returning its fold-tree digest.
+// shared run cache, whole jobs via the deterministic seeded provers.
 func defaultProveJob(cache *runCache) ProveJobFunc {
 	return func(_ context.Context, job *WorkerJob) ([]byte, error) {
-		if job.FoldLeaf {
-			sr, err := zkvm.UnmarshalSegmentReceipt(job.LeafReceipt)
-			if err != nil {
-				return nil, err
-			}
-			if int(sr.Index) != job.SegIndex {
-				return nil, fmt.Errorf("remote: fold leaf %d carries segment index %d", job.SegIndex, sr.Index)
-			}
-			if err := zkvm.VerifySegment(job.Prog, sr, job.VerifyOpts); err != nil {
-				return nil, err
-			}
-			d, err := fold.LeafDigest(sr)
-			if err != nil {
-				return nil, err
-			}
-			return encodeLeafDigest(d), nil
-		}
 		if job.Segment {
 			key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
 			run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
@@ -384,16 +358,13 @@ readLoop:
 				inFlight.Done()
 			}()
 			job := &WorkerJob{
-				ID:          dj.msg.JobID,
-				Segment:     dj.msg.Mode == jobSegment,
-				FoldLeaf:    dj.msg.Mode == jobFoldLeaf,
-				SegIndex:    int(dj.msg.SegIndex),
-				Seed:        dj.msg.Seed,
-				Prog:        dj.prog,
-				Input:       dj.input,
-				Opts:        dj.opts,
-				VerifyOpts:  dj.verifyOpts,
-				LeafReceipt: dj.leafReceipt,
+				ID:       dj.msg.JobID,
+				Segment:  dj.msg.Mode == jobSegment,
+				SegIndex: int(dj.msg.SegIndex),
+				Seed:     dj.msg.Seed,
+				Prog:     dj.prog,
+				Input:    dj.input,
+				Opts:     dj.opts,
 			}
 			out, err := prove(wctx, job)
 			if err != nil {

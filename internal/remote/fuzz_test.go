@@ -12,12 +12,12 @@ import (
 // never panic — and checks accept implies exact re-encode (the
 // framing is canonical).
 func FuzzDecodeRequest(f *testing.F) {
-	valid := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, Segments: 2})
+	valid := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, SegmentCycles: 64})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:16])
 	f.Add([]byte{})
-	f.Add([]byte{0x77, 0x72, 0x6b, 0x7a}) // magic alone
+	f.Add([]byte{0x33, 0x77, 0x6b, 0x7a}) // magic alone
 	huge := append([]byte(nil), valid...)
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff // program length lie
 	f.Add(huge)
@@ -121,7 +121,7 @@ func FuzzReadFrame(f *testing.F) {
 func TestDecodeRequestRoundTrip(t *testing.T) {
 	prog := simpleProgram()
 	input := []uint32{7, 35, 0xffffffff}
-	opts := zkvm.ProveOptions{Checks: 48, Segments: 4}
+	opts := zkvm.ProveOptions{Checks: 48, SegmentCycles: 4096}
 	gotProg, gotInput, gotOpts, err := DecodeRequest(EncodeRequest(prog, input, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 			t.Fatalf("input[%d] = %d, want %d", i, gotInput[i], input[i])
 		}
 	}
-	if gotOpts.Checks != opts.Checks || gotOpts.Segments != opts.Segments {
+	if gotOpts.Checks != opts.Checks || gotOpts.SegmentCycles != opts.SegmentCycles {
 		t.Fatalf("options = %+v, want %+v", gotOpts, opts)
 	}
 }

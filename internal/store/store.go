@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"zkflow/internal/atomicfile"
 	"zkflow/internal/netflow"
 )
 
@@ -231,17 +232,10 @@ func Load(r io.Reader) (*Store, error) {
 	return s, nil
 }
 
-// SaveFile writes the store to a file.
+// SaveFile writes the store to a file, replacing any previous one
+// crash-safely (see atomicfile.Write).
 func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, s.Save)
 }
 
 // LoadFile reads a store from a file.

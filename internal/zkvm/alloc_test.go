@@ -23,7 +23,7 @@ func TestCommitStreamConstantAllocs(t *testing.T) {
 	pool := newWorkerPool(1)
 	var tree *merkle.Tree
 	allocs := testing.AllocsPerRun(5, func() {
-		tree = commitStream(seed, treeExec, n, rowBytes, 1, pool,
+		tree = commitStream(seed, treeExec, n, rowBytes, pool,
 			func(i int, dst []byte) { encodeRowInto(dst, &rows[i]) })
 	})
 	if allocs > 8 {

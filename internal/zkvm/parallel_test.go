@@ -2,7 +2,10 @@ package zkvm
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"zkflow/internal/field"
 )
@@ -55,7 +58,7 @@ func TestParallelProveDeterminism(t *testing.T) {
 	ex := parallelTestExecution(t, 96)
 	seed := [32]byte{7: 1, 13: 0xee, 31: 9}
 
-	serialOpts := ProveOptions{Checks: 12, Segments: 1, Parallelism: 1}
+	serialOpts := ProveOptions{Checks: 12, Parallelism: 1}
 	serial, err := proveExecutionSeeded(ex, serialOpts, &seed)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +67,8 @@ func TestParallelProveDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 3, 4, 8, 32} {
-		opts := ProveOptions{Checks: 12, Segments: par, Parallelism: par}
+	for _, par := range []int{2, 3, 4, 7, 8, 32} {
+		opts := ProveOptions{Checks: 12, Parallelism: par}
 		r, err := proveExecutionSeeded(ex, opts, &seed)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -84,7 +87,57 @@ func TestParallelProveDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelProveVerifies proves with default (NumCPU) parallelism
+// TestParallelismOneCommitsSerially pins Parallelism 1 as the serial
+// path all the way down to leaf hashing: on a 1-worker pool,
+// commitStream must encode every row inline, in index order, even
+// when the host has more than one CPU to fan out to. Row 0 holds its
+// encode open until another row is encoded (or a timeout passes), so
+// a concurrent chunk cannot hide behind a lucky schedule.
+func TestParallelismOneCommitsSerially(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 1024
+	var (
+		mu        sync.Mutex
+		order     []int
+		otherOnce sync.Once
+		other     = make(chan struct{})
+	)
+	tree := commitStream(&[32]byte{3}, treeExec, n, prodBytes, newWorkerPool(1), func(i int, dst []byte) {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+		if i == 0 {
+			select {
+			case <-other:
+			case <-time.After(50 * time.Millisecond):
+			}
+		} else {
+			otherOnce.Do(func() { close(other) })
+		}
+		encodeProdInto(dst, field.New(uint64(i)))
+	})
+	defer tree.Release()
+	if len(order) != n {
+		t.Fatalf("encode called %d times, want %d", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("encode call %d was for row %d: a 1-worker pool fanned out", i, got)
+		}
+	}
+	// The serial tree is the tree every other width produces.
+	wide := commitStream(&[32]byte{3}, treeExec, n, prodBytes, newWorkerPool(4), func(i int, dst []byte) {
+		encodeProdInto(dst, field.New(uint64(i)))
+	})
+	defer wide.Release()
+	if tree.Root() != wide.Root() {
+		t.Fatal("1-worker and 4-worker commits disagree")
+	}
+}
+
+// TestParallelProveVerifies proves with default (GOMAXPROCS) parallelism
 // through the public API and checks the receipt.
 func TestParallelProveVerifies(t *testing.T) {
 	ex := parallelTestExecution(t, 64)

@@ -16,10 +16,10 @@ type workerPool struct {
 	workers int
 }
 
-// newWorkerPool creates a pool of n workers (n<=0 means NumCPU).
+// newWorkerPool creates a pool of n workers (n<=0 means GOMAXPROCS).
 func newWorkerPool(n int) *workerPool {
 	if n <= 0 {
-		n = runtime.NumCPU()
+		n = runtime.GOMAXPROCS(0)
 	}
 	if n < 1 {
 		n = 1

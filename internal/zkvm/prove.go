@@ -18,14 +18,13 @@ const DefaultChecks = 48
 type ProveOptions struct {
 	// Checks is the sampled-check count per family (default DefaultChecks).
 	Checks int
-	// Segments is the parallel commitment fan-out (default GOMAXPROCS).
-	Segments int
 	// Parallelism bounds the prover's worker pool: the committed
 	// tables (execution-trace rows, the two memory-log orderings —
 	// which include the hash-precompile's memory rows — and the two
 	// running-product columns) are encoded and committed concurrently,
-	// and Merkle levels are built with a chunked fan-out. 0 means
-	// runtime.NumCPU(); 1 forces the fully serial path. Every width
+	// and leaf hashing and Merkle levels are built with a chunked
+	// fan-out. 0 means runtime.GOMAXPROCS(0); 1 forces the fully
+	// serial path. Every width
 	// produces byte-identical receipts (asserted by
 	// TestParallelProveDeterminism).
 	Parallelism int
@@ -101,10 +100,6 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	if checks <= 0 {
 		checks = DefaultChecks
 	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
 	pool := newWorkerPool(opts.Parallelism)
 
 	nRows := len(ex.Rows)
@@ -131,15 +126,15 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	com := pool.split(3)
 	pool.do(
 		func() {
-			execTree = commitStream(seed, treeExec, nRows, rowBytes, segments, com,
+			execTree = commitStream(seed, treeExec, nRows, rowBytes, com,
 				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
 		},
 		func() {
-			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, segments, com,
+			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, com,
 				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
 		},
 		func() {
-			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, segments, com,
+			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, com,
 				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
 		},
 	)
@@ -177,12 +172,12 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	pool.do(
 		func() {
 			prodProg = runningProducts(ex.MemLog, alpha, gamma, p2)
-			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, segments, p2,
+			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, p2,
 				func(i int, dst []byte) { encodeProdInto(dst, prodProg[i]) })
 		},
 		func() {
 			prodSort = runningProducts(sorted, alpha, gamma, p2)
-			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, segments, p2,
+			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, p2,
 				func(i int, dst []byte) { encodeProdInto(dst, prodSort[i]) })
 		},
 	)

@@ -121,10 +121,6 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 
 	r := &SegmentRun{prog: prog, opts: opts, seed: seed, segs: segs}
 	pool := newWorkerPool(opts.Parallelism)
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
 	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
 	r.bndSeeds = make([][32]byte, len(segs))
 	r.bndTrees = make([]*merkle.Tree, len(segs))
@@ -132,7 +128,7 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 		img := segs[k].entryImg
 		r.bndSeeds[k] = deriveSubSeed(&seed, "bnd", k)
 		bs := &r.bndSeeds[k]
-		r.bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, segments, pool,
+		r.bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, pool,
 			func(i int, dst []byte) { encodeImagePairInto(dst, img[i]) })
 		root := r.bndTrees[k].Root()
 		segs[k].entry.MemRoot = root

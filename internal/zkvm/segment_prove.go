@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,11 +76,7 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
 	}
 
-	parallelism := opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	pool := newWorkerPool(parallelism)
+	pool := newWorkerPool(opts.Parallelism)
 
 	// Boundary-image trees: boundary k is segment k's entry image ==
 	// segment k-1's exit image; both adjacent segment proofs open
@@ -89,15 +84,11 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
 	bndSeeds := make([][32]byte, len(segs))
 	bndTrees := make([]*merkle.Tree, len(segs)) // bndTrees[k] commits segs[k].entryImg
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
 	for k := 1; k < len(segs); k++ {
 		img := segs[k].entryImg
 		bndSeeds[k] = deriveSubSeed(seed, "bnd", k)
 		bs := &bndSeeds[k]
-		bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, segments, pool,
+		bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, pool,
 			func(i int, dst []byte) { encodeImagePairInto(dst, img[i]) })
 		root := bndTrees[k].Root()
 		segs[k].entry.MemRoot = root
@@ -114,7 +105,7 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 	errs := make([]error, len(segs))
 	var next atomic.Int64
 	next.Store(-1)
-	crew := parallelism
+	crew := pool.workers
 	if crew > len(segs) {
 		crew = len(segs)
 	}
@@ -169,10 +160,6 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	if checks <= 0 {
 		checks = DefaultChecks
 	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
 	nRows := len(ex.Rows)
 	if nRows == 0 {
 		return nil, fmt.Errorf("zkvm: empty segment trace")
@@ -188,15 +175,15 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	com := pool.split(3)
 	pool.do(
 		func() {
-			execTree = commitStream(seed, treeExec, nRows, rowBytes, segments, com,
+			execTree = commitStream(seed, treeExec, nRows, rowBytes, com,
 				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
 		},
 		func() {
-			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, segments, com,
+			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, com,
 				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
 		},
 		func() {
-			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, segments, com,
+			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, com,
 				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
 		},
 	)
@@ -233,12 +220,12 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	pool.do(
 		func() {
 			prodProg = runningProducts(ex.MemLog, alpha, gamma, p2)
-			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, segments, p2,
+			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, p2,
 				func(i int, dst []byte) { encodeProdInto(dst, prodProg[i]) })
 		},
 		func() {
 			prodSort = runningProducts(sorted, alpha, gamma, p2)
-			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, segments, p2,
+			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, p2,
 				func(i int, dst []byte) { encodeProdInto(dst, prodSort[i]) })
 		},
 	)

@@ -459,9 +459,9 @@ func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	return c, nil
 }
 
-// UnmarshalAnyReceipt decodes any receipt form by its magic: the two
-// builtin kinds directly, everything else through the registered
-// receipt-kind decoders (see RegisterReceiptKind).
+// UnmarshalAnyReceipt decodes either receipt kind — single-segment or
+// continuation composite — by its wire magic. Any other magic is
+// rejected.
 func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	if len(data) < 4 {
 		return nil, errTruncated
@@ -472,29 +472,17 @@ func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	case compositeMagic:
 		return UnmarshalComposite(data)
 	default:
-		if decode := lookupReceiptKind(magic); decode != nil {
-			return decode(data)
-		}
 		return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 	}
 }
 
-// VerifyAny verifies any receipt form against the guest program.
-// Externally registered kinds verify themselves via SelfVerifier;
-// kinds that are only sound under a trusted prover (ProverTrusted)
-// are rejected unless opts.AcceptProverTrusted is set.
+// VerifyAny verifies either receipt kind against the guest program.
 func VerifyAny(prog *Program, r AnyReceipt, opts VerifyOptions) error {
 	switch t := r.(type) {
 	case *Receipt:
 		return Verify(prog, t, opts)
 	case *CompositeReceipt:
 		return VerifyComposite(prog, t, opts)
-	case SelfVerifier:
-		if pt, ok := t.(ProverTrusted); ok && pt.ProverTrusted() && !opts.AcceptProverTrusted {
-			return vErr("receipt kind %T is sound only under a trusted prover; "+
-				"audit its self-sound form instead, or opt in with VerifyOptions.AcceptProverTrusted", r)
-		}
-		return t.VerifyReceipt(prog, opts)
 	default:
 		return vErr("unknown receipt type %T", r)
 	}

@@ -410,4 +410,9 @@ func TestUnmarshalAnyReceiptGarbage(t *testing.T) {
 	if _, err := UnmarshalAnyReceipt([]byte{1, 2, 3, 4, 5}); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// The retired folded-receipt magic ("zkf4") is no longer a kind.
+	folded := append([]byte{0x34, 0x66, 0x6b, 0x7a}, make([]byte, 64)...)
+	if _, err := UnmarshalAnyReceipt(folded); err == nil {
+		t.Fatal("retired zkf4 magic accepted")
+	}
 }

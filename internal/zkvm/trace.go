@@ -5,9 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
@@ -167,24 +165,22 @@ const (
 // are the ~k Fiat–Shamir-opened rows, re-encoded on demand by the
 // opening path.
 //
-// Leaf hashing fans out across segments goroutines (the §7 "partition
-// the workload, merge partial proofs" path: each segment's subtree is
-// a partial commitment merged by the upper tree levels), and the
-// tree's internal levels are built with pool-wide chunked fan-out.
-// Chunking is purely index-partitioned, so the tree is byte-identical
-// at any segment count.
-func commitStream(seed *[32]byte, label byte, n, leafBytes, segments int, pool *workerPool, encode func(i int, dst []byte)) *merkle.Tree {
+// Leaf hashing and the tree's internal levels both fan out in
+// contiguous chunks over the pool it is handed, so a nested stage
+// stays within its share of ProveOptions.Parallelism and a 1-worker
+// pool hashes every leaf inline, in index order. Chunking is purely
+// index-partitioned, so the tree is byte-identical at any pool width.
+func commitStream(seed *[32]byte, label byte, n, leafBytes int, pool *workerPool, encode func(i int, dst []byte)) *merkle.Tree {
 	return merkle.BuildLeavesParallel(n, pool.workers, func(hashes []merkle.Hash) {
-		hashLeaves(seed, label, leafBytes, segments, hashes, encode)
+		hashLeaves(seed, label, leafBytes, pool, hashes, encode)
 	})
 }
 
 // hashLeaves fills hashes[i] with the salted leaf hash of row i,
-// fanning out across segments goroutines.
-func hashLeaves(seed *[32]byte, label byte, leafBytes, segments int, hashes []merkle.Hash, encode func(i int, dst []byte)) {
-	n := len(hashes)
-	hashSeg := func(lo, hi int) {
-		// Both hash inputs are assembled once per segment and patched
+// one contiguous chunk per pool worker.
+func hashLeaves(seed *[32]byte, label byte, leafBytes int, pool *workerPool, hashes []merkle.Hash, encode func(i int, dst []byte)) {
+	pool.forChunks(len(hashes), func(lo, hi int) {
+		// Both hash inputs are assembled once per chunk and patched
 		// per row: the salt preimage (seed || label || index) only
 		// changes in its index bytes, and the leaf message
 		// (0x00 || salt || payload) is encoded into in place. The
@@ -204,38 +200,7 @@ func hashLeaves(seed *[32]byte, label byte, leafBytes, segments int, hashes []me
 			encode(i, msg[1+saltBytes:])
 			hashes[i] = hashk.SumAssembled[merkle.Hash](msg)
 		}
-	}
-	if segments <= 1 || n < 2*segments {
-		hashSeg(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + segments - 1) / segments
-	for s := 0; s < segments; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if lo >= n {
-			break
-		}
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			hashSeg(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// defaultSegments picks the proving fan-out from the host CPU count.
-func defaultSegments() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
+	})
 }
 
 // sortedMemLog returns the memory log ordered by (Addr, Seq) — the
