@@ -326,28 +326,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusRecorder captures the response status and body size for the
-// metrics middleware.
+// statusRecorder counts the response's status class the moment the
+// status is decided, before any of the body can reach the client, so
+// a client that has read a response always finds it counted.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	classes *[5]*obs.Counter
+	status  int
+}
+
+func (r *statusRecorder) setStatus(code int) {
+	if r.status != 0 {
+		return
+	}
+	r.status = code
+	if cls := code/100 - 1; cls >= 0 && cls < len(r.classes) {
+		r.classes[cls].Inc()
+	}
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
+	r.setStatus(code)
 	r.ResponseWriter.WriteHeader(code)
 }
 
 func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += n
-	return n, err
+	r.setStatus(http.StatusOK)
+	return r.ResponseWriter.Write(b)
 }
 
 // instrument wraps a route with per-route metrics: request counters
@@ -362,17 +367,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	lat := s.metrics.Histogram("http.latency_seconds."+route, obs.DefaultLatencyBuckets)
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &statusRecorder{ResponseWriter: w, classes: &classes}
 		t0 := time.Now()
 		h(rec, r)
 		lat.Observe(time.Since(t0).Seconds())
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK // handler wrote nothing
-		}
-		if cls := status/100 - 1; cls >= 0 && cls < len(classes) {
-			classes[cls].Inc()
-		}
+		rec.setStatus(http.StatusOK) // handler wrote nothing
 	}
 }
 

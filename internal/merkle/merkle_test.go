@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -298,5 +299,28 @@ func BenchmarkBuildParallel(b *testing.B) {
 				BuildParallel(ls, workers)
 			}
 		})
+	}
+}
+
+// TestLevelsMatchStdlibNodeHash recomputes every internal node of
+// trees built at pool widths 1–7 with crypto/sha256 directly. The
+// sizes give levels with odd node counts and odd chunk edges, so the
+// kernel's single-lane tail runs at both level and chunk ends.
+func TestLevelsMatchStdlibNodeHash(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 2*parallelThreshold + 3, 3*parallelThreshold + 7} {
+		ls := leaves(n)
+		for workers := 1; workers <= 7; workers++ {
+			tree := BuildParallel(ls, workers)
+			for lvl := 1; lvl < len(tree.levels); lvl++ {
+				below := tree.levels[lvl-1]
+				for i, got := range tree.levels[lvl] {
+					msg := append([]byte{0x01}, below[2*i][:]...)
+					msg = append(msg, below[2*i+1][:]...)
+					if want := Hash(sha256.Sum256(msg)); got != want {
+						t.Fatalf("n=%d workers=%d: node (%d,%d) = %x, want %x", n, workers, lvl, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

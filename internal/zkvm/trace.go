@@ -1,11 +1,8 @@
 package zkvm
 
 import (
-	"cmp"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
@@ -18,10 +15,15 @@ const (
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
 	prodBytes = 8                         // one field element
 	saltBytes = 16
-	// maxLeafBytes bounds every committed leaf payload; commitStream
-	// sizes its per-goroutine stack scratch with it.
+	// saltPreBytes is the salt preimage seed || label || index.
+	saltPreBytes = 32 + 1 + 8
+	// maxLeafBytes bounds every committed leaf payload.
 	maxLeafBytes = rowBytes
 )
+
+// Every salted leaf message 0x00 || salt || payload fits one
+// hashk.Msg; this fails to compile if a leaf outgrows it.
+const _ = uint(hashk.MaxMsg - (1 + saltBytes + maxLeafBytes))
 
 // encodeRowInto serialises a trace row into b (len >= rowBytes).
 // Allocation-free so the commit pipeline can stream rows through a
@@ -131,14 +133,22 @@ func decodeProd(b []byte) (field.Elem, error) {
 // is salted so that unopened leaves reveal nothing about the trace
 // (hiding commitment under SHA-256).
 func deriveSalt(seed *[32]byte, treeLabel byte, index int) [saltBytes]byte {
-	var buf [32 + 1 + 8]byte
-	copy(buf[:32], seed[:])
-	buf[32] = treeLabel
-	binary.LittleEndian.PutUint64(buf[33:], uint64(index))
-	h := sha256.Sum256(buf[:])
+	m := saltMsg(seed, treeLabel)
+	binary.LittleEndian.PutUint64(m.Bytes()[33:], uint64(index))
+	h := hashk.Sum[[32]byte](&m)
 	var salt [saltBytes]byte
 	copy(salt[:], h[:saltBytes])
 	return salt
+}
+
+// saltMsg returns the salt preimage seed || label || index of a tree
+// with the index bytes still zero.
+func saltMsg(seed *[32]byte, treeLabel byte) hashk.Msg {
+	m := hashk.NewMsg(saltPreBytes)
+	b := m.Bytes()
+	copy(b, seed[:])
+	b[32] = treeLabel
+	return m
 }
 
 // saltedLeafHash is the committed hash of (salt || payload), hashed
@@ -180,25 +190,38 @@ func commitStream(seed *[32]byte, label byte, n, leafBytes int, pool *workerPool
 // one contiguous chunk per pool worker.
 func hashLeaves(seed *[32]byte, label byte, leafBytes int, pool *workerPool, hashes []merkle.Hash, encode func(i int, dst []byte)) {
 	pool.forChunks(len(hashes), func(lo, hi int) {
-		// Both hash inputs are assembled once per chunk and patched
-		// per row: the salt preimage (seed || label || index) only
-		// changes in its index bytes, and the leaf message
-		// (0x00 || salt || payload) is encoded into in place. The
-		// resulting bytes are exactly deriveSalt + saltedLeafHash —
-		// TestCommitStreamConstantAllocs pins the equivalence — but
-		// with no per-row scratch zeroing or payload copies.
-		var saltPre [32 + 1 + 8]byte
-		copy(saltPre[:32], seed[:])
-		saltPre[32] = label
-		var leafMsg [1 + saltBytes + maxLeafBytes]byte
-		leafMsg[0] = hashk.LeafPrefix
-		msg := leafMsg[: 1+saltBytes+leafBytes : 1+saltBytes+maxLeafBytes]
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint64(saltPre[33:], uint64(i))
-			salt := sha256.Sum256(saltPre[:])
-			copy(msg[1:1+saltBytes], salt[:saltBytes])
-			encode(i, msg[1+saltBytes:])
-			hashes[i] = hashk.SumAssembled[merkle.Hash](msg)
+		// Both hash inputs are padded once per chunk and patched per
+		// row: the salt preimage (seed || label || index) only changes
+		// in its index bytes, and the leaf message (0x00 || salt ||
+		// payload) is encoded into in place. Rows go two per kernel
+		// call, an odd last row alone. The digests are exactly
+		// deriveSalt + saltedLeafHash — TestHashLeavesMatchesReference
+		// pins the equivalence.
+		var salt, leaf [2]hashk.Msg
+		var s, l [2][]byte
+		for k := range 2 {
+			salt[k] = saltMsg(seed, label)
+			leaf[k] = hashk.NewMsg(1 + saltBytes + leafBytes)
+			s[k], l[k] = salt[k].Bytes(), leaf[k].Bytes()
+			l[k][0] = hashk.LeafPrefix
+		}
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			binary.LittleEndian.PutUint64(s[0][33:], uint64(i))
+			binary.LittleEndian.PutUint64(s[1][33:], uint64(i+1))
+			h0, h1 := hashk.Sum2[[32]byte](&salt[0], &salt[1])
+			copy(l[0][1:1+saltBytes], h0[:saltBytes])
+			copy(l[1][1:1+saltBytes], h1[:saltBytes])
+			encode(i, l[0][1+saltBytes:])
+			encode(i+1, l[1][1+saltBytes:])
+			hashes[i], hashes[i+1] = hashk.Sum2[merkle.Hash](&leaf[0], &leaf[1])
+		}
+		if i < hi {
+			binary.LittleEndian.PutUint64(s[0][33:], uint64(i))
+			h := hashk.Sum[[32]byte](&salt[0])
+			copy(l[0][1:1+saltBytes], h[:saltBytes])
+			encode(i, l[0][1+saltBytes:])
+			hashes[i] = hashk.Sum[merkle.Hash](&leaf[0])
 		}
 	})
 }
@@ -206,25 +229,78 @@ func hashLeaves(seed *[32]byte, label byte, leafBytes int, pool *workerPool, has
 // sortedMemLog returns the memory log ordered by (Addr, Seq) — the
 // layout the memory-consistency rules are checked on. Seq is unique,
 // so the (Addr, Seq) key is a strict total order and the result is the
-// same permutation under any correct sort; slices.SortFunc is used
-// over sort.Slice to keep reflection-based swaps out of the hot path.
-// The copy comes from the slab pool; the caller releases it with
-// putMemSlab once the openings are done.
+// same permutation under any correct sort. It is an LSD radix sort on
+// the 8-byte key, linear in the log: one histogram pass counts every
+// key byte, and a byte position where all keys agree costs no pass.
+// The Seq bytes cost none either when the log is already in Seq order,
+// as every program-order log is: the stable passes over them would
+// leave it as it is. The copy comes from the slab pool; the caller
+// releases it with putMemSlab once the openings are done.
 func sortedMemLog(log []MemEntry) []MemEntry {
-	out := getMemSlab()
-	if cap(out) < len(log) {
-		out = make([]MemEntry, len(log))
-	} else {
-		out = out[:len(log)]
+	out := memSlabOfLen(len(log))
+	if len(log) == 0 {
+		return out
 	}
-	copy(out, log)
-	slices.SortFunc(out, func(a, b MemEntry) int {
-		if a.Addr != b.Addr {
-			return cmp.Compare(a.Addr, b.Addr)
+	var hist [8][256]int
+	inSeqOrder := true
+	for i := range log {
+		e := &log[i]
+		k := memKey(e)
+		for b := range hist {
+			hist[b][byte(k>>(8*b))]++
 		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
+		if i > 0 && e.Seq <= log[i-1].Seq {
+			inSeqOrder = false
+		}
+	}
+	var passes []int
+	for b := range hist {
+		if b < 4 && inSeqOrder {
+			continue
+		}
+		if hist[b][byte(memKey(&log[0])>>(8*b))] != len(log) {
+			passes = append(passes, b)
+		}
+	}
+	if len(passes) == 0 {
+		copy(out, log)
+		return out
+	}
+	// Ping-pong through a scratch slab, so that the last pass lands
+	// in out.
+	tmp := memSlabOfLen(len(log))
+	defer putMemSlab(tmp)
+	bufs := [2][]MemEntry{out, tmp}
+	src := log
+	for k, b := range passes {
+		dst := bufs[(len(passes)-1-k)%2]
+		var next [256]int
+		pos := 0
+		for d, c := range hist[b] {
+			next[d] = pos
+			pos += c
+		}
+		shift := 8 * b
+		for i := range src {
+			d := byte(memKey(&src[i]) >> shift)
+			dst[next[d]] = src[i]
+			next[d]++
+		}
+		src = dst
+	}
 	return out
+}
+
+// memKey is the (Addr, Seq) sort key of a memory entry.
+func memKey(e *MemEntry) uint64 { return uint64(e.Addr)<<32 | uint64(e.Seq) }
+
+// memSlabOfLen returns a pooled slab of length n.
+func memSlabOfLen(n int) []MemEntry {
+	s := getMemSlab()
+	if cap(s) < n {
+		return make([]MemEntry, n)
+	}
+	return s[:n]
 }
 
 // fingerprint maps a memory entry to a field element under the
