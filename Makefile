@@ -64,11 +64,12 @@ bench-parallel:
 	$(GO) test -bench='ProveParallel|PipelinedAggregation' -run=^$$ .
 
 # Commit-path benchmarks with allocation counts: the SHA-256 kernel
-# per committed shape (41-byte salt preimage, 65-byte node, 97-byte
-# row leaf) on one lane, on two lanes and through sha256.Sum256, the
+# per committed shape (49-byte packed product/boundary leaf, 65-byte
+# node, 85-byte packed memory leaf, 405-byte packed trace leaf) on one
+# lane, on two lanes and through sha256.Sum256, the
 # whole-level and leaf hashes, the Merkle arena build, the NTT
 # kernel, and the fused prover pipeline. Compare against EXPERIMENTS.md
-# E14 (allocs/op) and E22 (ns per hash). Finishes by regenerating the committed benchmark
+# E14 (allocs/op), E22 (ns per hash) and E23 (packed leaves). Finishes by regenerating the committed benchmark
 # baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
 # sweep + E16 ingest throughput sweep + E17 light-client sync + E18
 # prover farm + E20 math kernel); gate a branch against it with

@@ -64,8 +64,7 @@ func TestPipelineMetrics(t *testing.T) {
 		t.Fatalf("epoch_seconds count = %d, want %d", h.Count, epochs)
 	}
 	// Per-stage prover breakdown flows through ProveOptions.Observer:
-	// every sealed epoch reports the non-execute stages. (trace_encode
-	// is gone — encoding is fused into merkle_commit/grand_product.)
+	// every sealed epoch reports the non-execute stages.
 	for _, stage := range []string{zkvm.StageMemSort, zkvm.StageMerkleCommit, zkvm.StageGrandProduct, zkvm.StageSeal} {
 		if h := s.Histograms["prover.stage."+stage+"_seconds"]; h.Count < epochs {
 			t.Fatalf("prover stage %q observed %d times, want >= %d", stage, h.Count, epochs)

@@ -5,16 +5,21 @@ import (
 	"encoding/binary"
 )
 
-// MaxMsg is the longest message a Msg holds: two SHA-256 blocks less
-// the 0x80 terminator and the 8-byte length.
-const MaxMsg = 2*64 - 9
+// maxBlocks is the most SHA-256 blocks a Msg spans: enough for the
+// largest packed zkVM leaf, four 97-byte trace rows behind the prefix
+// and a 16-byte salt (405 bytes).
+const maxBlocks = 7
+
+// MaxMsg is the longest message a Msg holds: maxBlocks SHA-256 blocks
+// less the 0x80 terminator and the 8-byte length.
+const MaxMsg = maxBlocks*64 - 9
 
 // Msg is a fixed-length SHA-256 message of at most MaxMsg bytes, kept
 // with its padding in place. The padding depends only on the length,
 // so a message is padded once and then patched through Bytes for every
 // hash of the same shape.
 type Msg struct {
-	buf    [128]byte
+	buf    [maxBlocks * 64]byte
 	n      int
 	blocks int
 }
@@ -22,16 +27,19 @@ type Msg struct {
 // NewMsg returns a zero message of n bytes, padded. It panics if n is
 // negative or above MaxMsg.
 func NewMsg(n int) Msg {
+	var m Msg
+	m.pad(n)
+	return m
+}
+
+// pad sets a zero message's length to n and writes its padding.
+func (m *Msg) pad(n int) {
 	if n < 0 || n > MaxMsg {
 		panic("hashk: message length out of range")
 	}
-	m := Msg{n: n, blocks: 1}
-	if n > 64-9 {
-		m.blocks = 2
-	}
+	m.n, m.blocks = n, (n+9+63)/64
 	m.buf[n] = 0x80
 	binary.BigEndian.PutUint64(m.buf[64*m.blocks-8:], uint64(n)*8)
-	return m
 }
 
 // Bytes returns the message bytes for patching in place. Its capacity

@@ -108,6 +108,9 @@ func FuzzSum2(f *testing.F) {
 	f.Add([]byte("abc"), []byte("xyz"))
 	f.Add(bytes.Repeat([]byte{1}, 55), bytes.Repeat([]byte{2}, 55))
 	f.Add(bytes.Repeat([]byte{3}, 56), bytes.Repeat([]byte{4}, 56))
+	f.Add(bytes.Repeat([]byte{7}, 119), bytes.Repeat([]byte{8}, 119))
+	f.Add(bytes.Repeat([]byte{9}, 120), bytes.Repeat([]byte{10}, 120))
+	f.Add(bytes.Repeat([]byte{11}, 405), bytes.Repeat([]byte{12}, 405))
 	f.Add(bytes.Repeat([]byte{5}, MaxMsg), bytes.Repeat([]byte{6}, MaxMsg))
 	f.Fuzz(func(t *testing.T, x, y []byte) {
 		n := min(len(x), len(y), MaxMsg)
@@ -127,9 +130,10 @@ func FuzzSum2(f *testing.F) {
 // sink keeps benchmarked results live.
 var sink digest
 
-// benchShapes are the committed message shapes: the salt preimage, an
-// internal node and a salted execution-row leaf.
-var benchShapes = []int{41, 65, 97}
+// benchShapes are the committed message shapes: a packed product or
+// boundary-image leaf, an internal node, a packed memory-log leaf and
+// a packed execution-trace leaf.
+var benchShapes = []int{49, 65, 85, 405}
 
 func BenchmarkSum(b *testing.B) {
 	for _, n := range benchShapes {

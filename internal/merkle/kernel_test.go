@@ -80,7 +80,7 @@ func TestPaddingHashTable(t *testing.T) {
 // TestHashZeroAllocs gates the leaf/node kernels: committed-table leaf
 // sizes must hash without touching the allocator.
 func TestHashZeroAllocs(t *testing.T) {
-	data := make([]byte, 97) // salted exec-row leaf size
+	data := make([]byte, 405) // packed, salted exec-row leaf size
 	var l, r Hash
 	if allocs := testing.AllocsPerRun(100, func() { _ = LeafHash(data) }); allocs != 0 {
 		t.Errorf("LeafHash allocates %v per run, want 0", allocs)

@@ -10,7 +10,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors")
 
-const goldenReceiptFile = "receipt_v1.bin"
+const goldenReceiptFile = "receipt_v2.bin"
+
+// retiredReceiptFile is the golden vector of the unpacked v1 seal (one
+// trace row per leaf, SHA-256 salts). It is kept to show that the
+// format change is a clean break: v1 bytes still decode, but never
+// verify.
+const retiredReceiptFile = "receipt_v1.bin"
 
 // goldenReceipt proves the sum program over a fixed input with a
 // fixed transcript seed, so the receipt bytes are fully deterministic
@@ -35,7 +41,7 @@ func goldenReceipt(t *testing.T) []byte {
 
 // TestGoldenReceipt pins the receipt wire format: any change to the
 // trace layout, transcript schedule, Merkle arity, or seal encoding
-// shows up as a byte diff against testdata/receipt_v1.bin. Regenerate
+// shows up as a byte diff against testdata/receipt_v2.bin. Regenerate
 // deliberately with `go test ./internal/zkvm -run TestGoldenReceipt
 // -update` and review the diff as a format change.
 func TestGoldenReceipt(t *testing.T) {
@@ -77,5 +83,22 @@ func TestGoldenReceipt(t *testing.T) {
 	}
 	if !bytes.Equal(reenc, want) {
 		t.Fatal("golden vector is not canonical: decode+re-encode changed bytes")
+	}
+}
+
+// TestRetiredReceiptRejected checks that a v1 receipt (same program,
+// same seed, same encoding, unpacked leaves) does not verify under the
+// v2 seal: its transcript label, openings and leaf layout all differ.
+func TestRetiredReceiptRejected(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", retiredReceiptFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := UnmarshalReceipt(old)
+	if err != nil {
+		t.Fatalf("v1 vector no longer decodes: %v", err)
+	}
+	if err := Verify(sumProgram(), r, VerifyOptions{}); err == nil {
+		t.Fatal("v1 receipt verified under the v2 seal")
 	}
 }

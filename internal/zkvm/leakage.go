@@ -10,7 +10,8 @@ type LeakageReport struct {
 	// TotalRows and TotalMemEntries are the committed table sizes.
 	TotalRows       int
 	TotalMemEntries int
-	// OpenedRows and OpenedMemEntries count distinct revealed leaves.
+	// OpenedRows and OpenedMemEntries count distinct revealed entries:
+	// every entry of every opened leaf group.
 	OpenedRows       int
 	OpenedMemEntries int
 	// RowFraction and MemFraction are the revealed fractions.
@@ -18,35 +19,48 @@ type LeakageReport struct {
 	MemFraction float64
 }
 
-// Leakage computes the report for a receipt.
+// Leakage computes the report for a receipt. An opening carries its
+// whole leaf group, so every entry of an opened group counts as
+// revealed, not only the checked one.
 func Leakage(r *Receipt) LeakageReport {
-	rows := map[int]bool{r.Seal.FirstRow.Index: true, r.Seal.LastRow.Index: true}
+	s := &r.Seal
+	nRows, nMem := int(s.NumRows), int(s.NumMem)
+	rows := map[int]bool{}
 	mems := map[int]bool{}
-	if r.Seal.NumMem > 0 {
-		mems[r.Seal.MemProgFirst.Index] = true
-		// Sorted-log openings reveal the same underlying accesses in a
-		// different order; count them in the same pool.
-		mems[int(r.Seal.NumMem)+r.Seal.MemSortFirst.Index] = true
-	}
-	for i := range r.Seal.ExecChecks {
-		c := &r.Seal.ExecChecks[i]
-		rows[c.RowI.Index] = true
-		rows[c.RowJ.Index] = true
-		for j := range c.Mem {
-			mems[c.Mem[j].Index] = true
+	reveal := func(set map[int]bool, o *Opening, n, base int) {
+		g := o.Index / rowsPerLeaf * rowsPerLeaf
+		for i := g; i < min(g+rowsPerLeaf, n); i++ {
+			set[base+i] = true
 		}
 	}
-	for i := range r.Seal.ProdChecks {
-		mems[r.Seal.ProdChecks[i].Entry.Index] = true
+	// Sorted-log openings reveal the same underlying accesses in a
+	// different order; they count in the same pool, offset by nMem.
+	prog := func(o *Opening) { reveal(mems, o, nMem, 0) }
+	sorted := func(o *Opening) { reveal(mems, o, nMem, nMem) }
+	reveal(rows, &s.FirstRow, nRows, 0)
+	reveal(rows, &s.LastRow, nRows, 0)
+	if nMem > 0 {
+		prog(&s.MemProgFirst)
+		sorted(&s.MemSortFirst)
 	}
-	for i := range r.Seal.SortChecks {
-		c := &r.Seal.SortChecks[i]
-		mems[int(r.Seal.NumMem)+c.EntryI.Index] = true
-		mems[int(r.Seal.NumMem)+c.EntryJ.Index] = true
+	for i := range s.ExecChecks {
+		c := &s.ExecChecks[i]
+		reveal(rows, &c.RowI, nRows, 0)
+		reveal(rows, &c.RowJ, nRows, 0)
+		for j := range c.Mem {
+			prog(&c.Mem[j])
+		}
+	}
+	for i := range s.ProdChecks {
+		prog(&s.ProdChecks[i].Entry)
+	}
+	for i := range s.SortChecks {
+		sorted(&s.SortChecks[i].EntryI)
+		sorted(&s.SortChecks[i].EntryJ)
 	}
 	rep := LeakageReport{
-		TotalRows:        int(r.Seal.NumRows),
-		TotalMemEntries:  int(r.Seal.NumMem),
+		TotalRows:        nRows,
+		TotalMemEntries:  nMem,
 		OpenedRows:       len(rows),
 		OpenedMemEntries: len(mems),
 	}

@@ -118,7 +118,7 @@ func TestParallelismOneCommitsSerially(t *testing.T) {
 		}
 		encodeProdInto(dst, field.New(uint64(i)))
 	})
-	defer tree.Release()
+	defer tree.release()
 	if len(order) != n {
 		t.Fatalf("encode called %d times, want %d", len(order), n)
 	}
@@ -131,8 +131,8 @@ func TestParallelismOneCommitsSerially(t *testing.T) {
 	wide := commitStream(&[32]byte{3}, treeExec, n, prodBytes, newWorkerPool(4), func(i int, dst []byte) {
 		encodeProdInto(dst, field.New(uint64(i)))
 	})
-	defer wide.Release()
-	if tree.Root() != wide.Root() {
+	defer wide.release()
+	if tree.root() != wide.root() {
 		t.Fatal("1-worker and 4-worker commits disagree")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"fmt"
 
-	"zkflow/internal/field"
-	"zkflow/internal/merkle"
 	"zkflow/internal/transcript"
 )
 
@@ -64,31 +62,37 @@ func (e *GuestAbortError) Error() string {
 // receipt. Trapped or aborted executions return an error and no
 // receipt — tampered telemetry cannot be proven.
 func Prove(prog *Program, input []uint32, opts ProveOptions) (*Receipt, error) {
-	execDone := stageTimer(opts.Observer, StageExecute)
-	ex, err := Execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps})
-	execDone()
+	seed, err := newSeed()
 	if err != nil {
 		return nil, err
 	}
-	if ex.ExitCode != 0 && !opts.AllowNonZeroExit {
-		abort := &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
-		releaseExecution(ex)
-		return nil, abort
-	}
-	receipt, err := ProveExecution(ex, opts)
-	// The execution was created here and the receipt does not alias its
-	// trace slices, so their slabs can go back to the pool.
-	releaseExecution(ex)
-	return receipt, err
+	return ProveWithSeed(prog, input, opts, seed)
 }
 
 // ProveExecution seals an already-traced execution.
 func ProveExecution(ex *Execution, opts ProveOptions) (*Receipt, error) {
-	var seed [32]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("zkvm: salt seed: %w", err)
+	seed, err := newSeed()
+	if err != nil {
+		return nil, err
 	}
 	return proveExecutionSeeded(ex, opts, &seed)
+}
+
+// newSeed draws a fresh salt seed, so commitments hide unopened rows.
+func newSeed() ([32]byte, error) {
+	var seed [32]byte
+	if _, err := rand.Read(seed[:]); err != nil {
+		return seed, fmt.Errorf("zkvm: salt seed: %w", err)
+	}
+	return seed, nil
+}
+
+// checks returns the sampled-check count per family.
+func (o *ProveOptions) checks() int {
+	if o.Checks <= 0 {
+		return DefaultChecks
+	}
+	return o.Checks
 }
 
 // proveExecutionSeeded is the deterministic core of ProveExecution:
@@ -96,64 +100,74 @@ func ProveExecution(ex *Execution, opts ProveOptions) (*Receipt, error) {
 // receipt byte-for-byte at any Parallelism — all concurrency below is
 // index-partitioned over committed tables, never order-dependent.
 func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
-	checks := opts.Checks
-	if checks <= 0 {
-		checks = DefaultChecks
-	}
-	pool := newWorkerPool(opts.Parallelism)
-
-	nRows := len(ex.Rows)
-	if nRows == 0 {
+	if len(ex.Rows) == 0 {
 		return nil, fmt.Errorf("zkvm: empty execution trace")
 	}
-	nMem := len(ex.MemLog)
-
-	// Address-order the memory log up front so the sort cost is
-	// attributed to its own stage and the three encode tasks below are
-	// symmetric.
-	sortDone := stageTimer(opts.Observer, StageMemSort)
-	sorted := sortedMemLog(ex.MemLog)
-	sortDone()
-
-	// Phase 1 commitments (before the memory challenges): three
-	// independent trees, committed concurrently. Encoding is fused into
-	// the commit — commitStream serialises each row into per-goroutine
-	// scratch and hashes it straight into the salted leaf, so no
-	// payload table is ever materialized; openings below re-encode
-	// their rows on demand.
-	var execTree, memProgTree, memSortTree *merkle.Tree
-	commitDone := stageTimer(opts.Observer, StageMerkleCommit)
-	com := pool.split(3)
-	pool.do(
-		func() {
-			execTree = commitStream(seed, treeExec, nRows, rowBytes, com,
-				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
-		},
-		func() {
-			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
-		},
-		func() {
-			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
-		},
-	)
-	commitDone()
-
 	receipt := &Receipt{
 		ImageID:  ex.Program.ID(),
 		ExitCode: ex.ExitCode,
 		Journal:  append([]uint32(nil), ex.Journal...),
 	}
 	s := &receipt.Seal
-	s.NumRows = uint32(nRows)
-	s.NumMem = uint32(nMem)
-	s.ExecRoot = execTree.Root()
-	s.MemProgRoot = memProgTree.Root()
-	s.MemSortRoot = memSortTree.Root()
-
-	tr := transcript.New("zkvm-seal-v1")
+	s.NumRows, s.NumMem = uint32(len(ex.Rows)), uint32(len(ex.MemLog))
+	tr := transcript.New("zkvm-seal-v2")
 	absorbPublic(tr, receipt)
+	t := commitTrace(ex, s, tr, seed, newWorkerPool(opts.Parallelism), opts.Observer)
+	sealDone := stageTimer(opts.Observer, StageSeal)
+	t.openChecks(s, tr, ex, opts.checks())
+	t.release()
+	sealDone()
+	return receipt, nil
+}
+
+// traceTables are the five tables a seal commits: the trace rows, the
+// memory log in program and in (Addr, Seq) order, and the running
+// product of each ordering.
+type traceTables struct {
+	exec, memProg, memSort, prodProg, prodSort *table
+	// sorted is the (Addr, Seq)-ordered log memSort commits, a slab
+	// from the pool.
+	sorted []MemEntry
+}
+
+// commitTrace commits an execution's five tables into s and tr in the
+// order both verifiers replay: the three phase-1 roots, the (alpha,
+// gamma) memory challenges, then the two running-product roots. tr
+// must already hold the public statement.
+func commitTrace(ex *Execution, s *Seal, tr *transcript.Transcript, seed *[32]byte, pool *workerPool, obs StageObserver) *traceTables {
+	nRows, nMem := len(ex.Rows), len(ex.MemLog)
+	t := &traceTables{}
+
+	// Address-order the memory log up front so the sort cost is
+	// attributed to its own stage and the three commits below are
+	// symmetric.
+	sortDone := stageTimer(obs, StageMemSort)
+	t.sorted = sortedMemLog(ex.MemLog)
+	sortDone()
+	sorted := t.sorted
+
+	// Phase 1 commitments (before the memory challenges): three
+	// independent tables, committed concurrently.
+	commitDone := stageTimer(obs, StageMerkleCommit)
+	com := pool.split(3)
+	pool.do(
+		func() {
+			t.exec = commitStream(seed, treeExec, nRows, rowBytes, com,
+				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
+		},
+		func() {
+			t.memProg = commitStream(seed, treeMemProg, nMem, memBytes, com,
+				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
+		},
+		func() {
+			t.memSort = commitStream(seed, treeMemSort, nMem, memBytes, com,
+				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
+		},
+	)
+	commitDone()
+	s.ExecRoot = t.exec.root()
+	s.MemProgRoot = t.memProg.root()
+	s.MemSortRoot = t.memSort.root()
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
 	tr.Append("memsort-root", s.MemSortRoot[:])
@@ -163,86 +177,49 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	// Phase 2: running products under (alpha, gamma). The two product
 	// columns are independent; each is scanned (parallel prefix
 	// product) and committed on half the pool. The field-element
-	// columns are kept (8 bytes/row) for the openings; the encoded
-	// leaf payloads are not.
-	var prodProg, prodSort []field.Elem
-	var prodProgTree, prodSortTree *merkle.Tree
-	prodDone := stageTimer(opts.Observer, StageGrandProduct)
+	// columns are kept (8 bytes/row) for the openings.
+	prodDone := stageTimer(obs, StageGrandProduct)
 	p2 := pool.split(2)
 	pool.do(
 		func() {
-			prodProg = runningProducts(ex.MemLog, alpha, gamma, p2)
-			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodProg[i]) })
+			prod := runningProducts(ex.MemLog, alpha, gamma, p2)
+			t.prodProg = commitStream(seed, treeProdProg, nMem, prodBytes, p2,
+				func(i int, dst []byte) { encodeProdInto(dst, prod[i]) })
 		},
 		func() {
-			prodSort = runningProducts(sorted, alpha, gamma, p2)
-			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodSort[i]) })
+			prod := runningProducts(sorted, alpha, gamma, p2)
+			t.prodSort = commitStream(seed, treeProdSort, nMem, prodBytes, p2,
+				func(i int, dst []byte) { encodeProdInto(dst, prod[i]) })
 		},
 	)
 	prodDone()
-	s.ProdProgRoot = prodProgTree.Root()
-	s.ProdSortRoot = prodSortTree.Root()
+	s.ProdProgRoot = t.prodProg.root()
+	s.ProdSortRoot = t.prodSort.root()
 	tr.Append("prodprog-root", s.ProdProgRoot[:])
 	tr.Append("prodsort-root", s.ProdSortRoot[:])
+	return t
+}
 
-	sealDone := stageTimer(opts.Observer, StageSeal)
-	defer sealDone()
-
-	// Openings re-encode their rows on demand: the commit streamed the
-	// payloads through scratch buffers, so only the ~k opened rows ever
-	// get a heap payload. Encoding is deterministic, so the re-encoded
-	// bytes are exactly what was hashed into the committed leaf.
-	encRow := func(i int) []byte { return encodeRow(&ex.Rows[i]) }
-	encMemProg := func(i int) []byte { return encodeMemEntry(&ex.MemLog[i]) }
-	encMemSort := func(i int) []byte { return encodeMemEntry(&sorted[i]) }
-	encProdProg := func(i int) []byte { return encodeProd(prodProg[i]) }
-	encProdSort := func(i int) []byte { return encodeProd(prodSort[i]) }
-
-	open := func(t *merkle.Tree, label byte, enc func(int) []byte, idx int) (Opening, error) {
-		proof, err := t.Prove(idx)
-		if err != nil {
-			return Opening{}, fmt.Errorf("zkvm: opening leaf %d: %w", idx, err)
-		}
-		return Opening{
-			Index: idx,
-			Salt:  deriveSalt(seed, label, idx),
-			Data:  enc(idx),
-			Path:  proof.Path,
-		}, nil
-	}
-	mustOpen := func(t *merkle.Tree, label byte, enc func(int) []byte, idx int) Opening {
-		o, err := open(t, label, enc, idx)
-		if err != nil {
-			panic(err) // indices are derived from committed lengths
-		}
-		return o
-	}
-
-	// Boundary openings.
-	s.FirstRow = mustOpen(execTree, treeExec, encRow, 0)
-	s.LastRow = mustOpen(execTree, treeExec, encRow, nRows-1)
+// openChecks fills s with the boundary openings and the exec, prod and
+// sort sampled checks, drawn from tr in the exact order the verifier
+// derives them.
+func (t *traceTables) openChecks(s *Seal, tr *transcript.Transcript, ex *Execution, checks int) {
+	nRows, nMem := len(ex.Rows), len(ex.MemLog)
+	s.FirstRow = t.exec.open(0)
+	s.LastRow = t.exec.open(nRows - 1)
 	if nMem > 0 {
-		s.MemProgFirst = mustOpen(memProgTree, treeMemProg, encMemProg, 0)
-		s.MemSortFirst = mustOpen(memSortTree, treeMemSort, encMemSort, 0)
-		s.ProdProgFirst = mustOpen(prodProgTree, treeProdProg, encProdProg, 0)
-		s.ProdSortFirst = mustOpen(prodSortTree, treeProdSort, encProdSort, 0)
-		s.ProdProgLast = mustOpen(prodProgTree, treeProdProg, encProdProg, nMem-1)
-		s.ProdSortLast = mustOpen(prodSortTree, treeProdSort, encProdSort, nMem-1)
+		s.MemProgFirst = t.memProg.open(0)
+		s.MemSortFirst = t.memSort.open(0)
+		s.ProdProgFirst = t.prodProg.open(0)
+		s.ProdSortFirst = t.prodSort.open(0)
+		s.ProdProgLast = t.prodProg.open(nMem - 1)
+		s.ProdSortLast = t.prodSort.open(nMem - 1)
 	}
-
-	// Sampled checks, in the exact order the verifier will derive.
 	if nRows >= 2 {
 		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
-			c := ExecCheck{
-				RowI: mustOpen(execTree, treeExec, encRow, i),
-				RowJ: mustOpen(execTree, treeExec, encRow, i+1),
-			}
-			lo := ex.Rows[i].MemPtr
-			hi := ex.Rows[i+1].MemPtr
-			for m := lo; m < hi; m++ {
-				c.Mem = append(c.Mem, mustOpen(memProgTree, treeMemProg, encMemProg, int(m)))
+			c := ExecCheck{RowI: t.exec.open(i), RowJ: t.exec.open(i + 1)}
+			for m := ex.Rows[i].MemPtr; m < ex.Rows[i+1].MemPtr; m++ {
+				c.Mem = append(c.Mem, t.memProg.open(int(m)))
 			}
 			s.ExecChecks = append(s.ExecChecks, c)
 		}
@@ -250,30 +227,29 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	if nMem >= 2 {
 		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
 			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: mustOpen(memProgTree, treeMemProg, encMemProg, i+1),
-				ProdI: mustOpen(prodProgTree, treeProdProg, encProdProg, i),
-				ProdJ: mustOpen(prodProgTree, treeProdProg, encProdProg, i+1),
+				Entry: t.memProg.open(i + 1),
+				ProdI: t.prodProg.open(i),
+				ProdJ: t.prodProg.open(i + 1),
 			})
 		}
 		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
 			s.SortChecks = append(s.SortChecks, SortCheck{
-				EntryI: mustOpen(memSortTree, treeMemSort, encMemSort, i),
-				EntryJ: mustOpen(memSortTree, treeMemSort, encMemSort, i+1),
-				ProdI:  mustOpen(prodSortTree, treeProdSort, encProdSort, i),
-				ProdJ:  mustOpen(prodSortTree, treeProdSort, encProdSort, i+1),
+				EntryI: t.memSort.open(i),
+				EntryJ: t.memSort.open(i + 1),
+				ProdI:  t.prodSort.open(i),
+				ProdJ:  t.prodSort.open(i + 1),
 			})
 		}
 	}
+}
 
-	// Everything below the roots and openings is copied into the
-	// receipt, so the scratch tables can be recycled for the next proof.
-	putMemSlab(sorted)
-	execTree.Release()
-	memProgTree.Release()
-	memSortTree.Release()
-	prodProgTree.Release()
-	prodSortTree.Release()
-	return receipt, nil
+// release recycles the sorted log and the trees once everything the
+// receipt needs has been copied out of them.
+func (t *traceTables) release() {
+	putMemSlab(t.sorted)
+	for _, tb := range []*table{t.exec, t.memProg, t.memSort, t.prodProg, t.prodSort} {
+		tb.release()
+	}
 }
 
 // absorbPublic binds the receipt's public statement into the

@@ -2,7 +2,11 @@ package zkvm
 
 import (
 	"errors"
+	"strings"
 	"testing"
+
+	"zkflow/internal/field"
+	"zkflow/internal/merkle"
 )
 
 // sumProgram builds a guest that reads n input words, stores them to
@@ -111,6 +115,160 @@ func TestVerifyRejectsTamperedOpening(t *testing.T) {
 	r.Seal.ExecChecks[0].RowI.Data[4]++ // mutate a register byte
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered opening accepted")
+	}
+}
+
+// proveSumPartialGroups proves the sum program at the smallest input
+// whose trace and memory log both end in a partial leaf group, so the
+// last group of every table has zero padding slots.
+func proveSumPartialGroups(t *testing.T) (*Program, *Receipt) {
+	t.Helper()
+	for n := 4; n < 64; n++ {
+		prog, r := proveSum(t, n)
+		if r.Seal.NumRows%rowsPerLeaf != 0 && r.Seal.NumMem%rowsPerLeaf != 0 {
+			return prog, r
+		}
+	}
+	t.Fatal("no input gives partial last groups")
+	return nil, nil
+}
+
+// TestVerifyRejectsTamperedPackedOpening attacks the packed leaf
+// format: an opening carries the whole leaf group of its entry, and
+// the verifier must bind the checked slot, the group's size and
+// position, the padding and every unchecked slot.
+func TestVerifyRejectsTamperedPackedOpening(t *testing.T) {
+	prog, base := proveSumPartialGroups(t)
+	bin, err := base.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectFail := func(name string, mut func(s *Seal)) {
+		t.Helper()
+		r, err := UnmarshalReceipt(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(&r.Seal)
+		if err := Verify(prog, r, VerifyOptions{}); err == nil {
+			t.Errorf("%s: tampered receipt verified", name)
+		} else if !errors.Is(err, ErrVerify) {
+			t.Errorf("%s: error not wrapped: %v", name, err)
+		}
+	}
+	// otherSlot is a slot of o's group other than the checked one.
+	otherSlot := func(o *Opening) int { return (o.Index%rowsPerLeaf + 1) % rowsPerLeaf }
+
+	expectFail("index moved to the next slot", func(s *Seal) {
+		s.ExecChecks[0].RowI.Index++
+	})
+	expectFail("index moved to another group", func(s *Seal) {
+		s.ExecChecks[0].RowI.Index += rowsPerLeaf
+	})
+	expectFail("checked slot swapped with its neighbour", func(s *Seal) {
+		o := &s.ExecChecks[0].RowI
+		a, b := o.Index%rowsPerLeaf, otherSlot(o)
+		sa := append([]byte(nil), o.Data[a*rowBytes:(a+1)*rowBytes]...)
+		copy(o.Data[a*rowBytes:], o.Data[b*rowBytes:(b+1)*rowBytes])
+		copy(o.Data[b*rowBytes:], sa)
+	})
+	expectFail("group one byte long", func(s *Seal) {
+		s.ExecChecks[0].RowI.Data = append(s.ExecChecks[0].RowI.Data, 0)
+	})
+	expectFail("group one byte short", func(s *Seal) {
+		o := &s.ExecChecks[0].RowI
+		o.Data = o.Data[:len(o.Data)-1]
+	})
+	expectFail("memory group one byte long", func(s *Seal) {
+		s.ProdChecks[0].Entry.Data = append(s.ProdChecks[0].Entry.Data, 0)
+	})
+	expectFail("product group one byte short", func(s *Seal) {
+		o := &s.SortChecks[0].ProdI
+		o.Data = o.Data[:len(o.Data)-1]
+	})
+	expectFail("neighbour group substituted", func(s *Seal) {
+		c := &s.ExecChecks[0]
+		for k := range s.ExecChecks {
+			o := s.ExecChecks[k].RowI
+			if o.Index/rowsPerLeaf != c.RowI.Index/rowsPerLeaf {
+				o.Index = c.RowI.Index
+				c.RowI = o
+				return
+			}
+		}
+		t.Fatal("every check opened the same group")
+	})
+	expectFail("nonzero pad slot in the last trace group", func(s *Seal) {
+		s.LastRow.Data[len(s.LastRow.Data)-1] = 1
+	})
+	expectFail("nonzero pad slot in the last product group", func(s *Seal) {
+		s.ProdSortLast.Data[len(s.ProdSortLast.Data)-1] = 1
+	})
+	expectFail("unchecked trace slot tampered", func(s *Seal) {
+		o := &s.ExecChecks[0].RowJ
+		o.Data[otherSlot(o)*rowBytes+4]++
+	})
+	expectFail("unchecked memory slot tampered", func(s *Seal) {
+		o := &s.SortChecks[0].EntryI
+		o.Data[otherSlot(o)*memBytes]++
+	})
+	expectFail("unchecked product slot tampered", func(s *Seal) {
+		o := &s.ProdChecks[0].ProdJ
+		o.Data[otherSlot(o)*prodBytes]++
+	})
+
+	// The control: the untouched receipt verifies.
+	r, err := UnmarshalReceipt(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(prog, r, VerifyOptions{}); err != nil {
+		t.Fatalf("control: %v", err)
+	}
+}
+
+// TestOpeningRejectsNonzeroPadding checks the padding rule on its own:
+// a last group whose pad slot is nonzero but correctly committed (as a
+// dishonest prover could build it) still fails, while the same group
+// with zero padding verifies.
+func TestOpeningRejectsNonzeroPadding(t *testing.T) {
+	const n = 6 // two groups, the second with two pad slots
+	blk := saltCipher(&[32]byte{9})
+	groups := make([][]byte, numLeaves(n))
+	for g := range groups {
+		groups[g] = make([]byte, rowsPerLeaf*prodBytes)
+		for j := range rowsPerLeaf {
+			if i := g*rowsPerLeaf + j; i < n {
+				encodeProdInto(groups[g][j*prodBytes:], field.New(uint64(i+1)))
+			}
+		}
+	}
+	open := func() (merkle.Hash, Opening) {
+		hashes := make([]merkle.Hash, len(groups))
+		for g := range groups {
+			hashes[g] = saltedLeafHash(saltOf(blk, treeProdProg, g), groups[g])
+		}
+		tree := merkle.BuildHashes(hashes)
+		proof, err := tree.Prove(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.Root(), Opening{Index: n - 1, Salt: saltOf(blk, treeProdProg, 1), Data: groups[1], Path: proof.Path}
+	}
+	root, o := open()
+	if got, err := o.prod(root, n-1, n); err != nil || got != field.New(n) {
+		t.Fatalf("honest last group: %v, %v", got, err)
+	}
+	// A pad slot is not an entry, even though the group's hash holds.
+	past := o
+	past.Index = n
+	if _, err := past.verify(root, n, n, prodBytes); err == nil {
+		t.Fatal("opening of a pad slot past the end of the table accepted")
+	}
+	groups[1][len(groups[1])-1] = 1
+	root, o = open()
+	if _, err := o.verify(root, n-1, n, prodBytes); err == nil || !strings.Contains(err.Error(), "padding") {
+		t.Fatalf("committed nonzero padding: got %v, want a padding error", err)
 	}
 }
 
@@ -286,6 +444,31 @@ func TestLeakageReport(t *testing.T) {
 	}
 	if rep.MemFraction <= 0 || rep.MemFraction > 1 {
 		t.Fatalf("mem fraction %f", rep.MemFraction)
+	}
+	// Every row of every opened trace group is revealed: recount them
+	// from the groups' contents, not from the checked indices.
+	s := &r.Seal
+	openings := []*Opening{&s.FirstRow, &s.LastRow}
+	for i := range s.ExecChecks {
+		openings = append(openings, &s.ExecChecks[i].RowI, &s.ExecChecks[i].RowJ)
+	}
+	revealed := map[Row]bool{}
+	for _, o := range openings {
+		for j := 0; j < rowsPerLeaf && o.Index/rowsPerLeaf*rowsPerLeaf+j < rep.TotalRows; j++ {
+			row, err := decodeRow(o.Data[j*rowBytes : (j+1)*rowBytes])
+			if err != nil {
+				t.Fatal(err)
+			}
+			revealed[row] = true
+		}
+	}
+	// Rows are distinct (each carries its own step's PC and cursors in
+	// this loop program), so distinct contents are distinct rows.
+	if rep.OpenedRows != len(revealed) {
+		t.Fatalf("opened rows %d, opened groups reveal %d", rep.OpenedRows, len(revealed))
+	}
+	if rep.OpenedRows <= 2*len(s.ExecChecks) {
+		t.Fatalf("opened rows %d do not exceed the %d checked rows", rep.OpenedRows, 2*len(s.ExecChecks))
 	}
 }
 

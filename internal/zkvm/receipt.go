@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 
+	"zkflow/internal/field"
 	"zkflow/internal/merkle"
 )
 
-// Opening is one authenticated leaf revealed by the seal: the leaf
-// payload, its blinding salt, and the Merkle path to the tree root.
+// Opening is one authenticated entry revealed by the seal: Index is
+// the entry's position in its table, Data the whole leaf group that
+// holds it (rowsPerLeaf entries), Salt the group's blinding salt and
+// Path the Merkle path of the group's leaf.
 type Opening struct {
 	Index int
 	Salt  [saltBytes]byte
@@ -17,20 +20,68 @@ type Opening struct {
 	Path  []merkle.Hash
 }
 
-// verify checks the opening against root at the expected index with
-// the expected payload length.
-func (o *Opening) verify(root merkle.Hash, wantIndex, wantLen int) error {
+// verify checks that the opening reveals entry wantIndex of an n-entry
+// table of width-byte entries committed under root, and returns that
+// entry's bytes. Data must be exactly the entry's leaf group, with
+// every slot past the end of the table zero.
+func (o *Opening) verify(root merkle.Hash, wantIndex, n, width int) ([]byte, error) {
 	if o.Index != wantIndex {
-		return fmt.Errorf("opening at index %d, want %d", o.Index, wantIndex)
+		return nil, fmt.Errorf("opening at index %d, want %d", o.Index, wantIndex)
 	}
-	if len(o.Data) != wantLen {
-		return fmt.Errorf("opening payload %d bytes, want %d", len(o.Data), wantLen)
+	if wantIndex < 0 || wantIndex >= n {
+		return nil, fmt.Errorf("opening index %d outside a %d-entry table", wantIndex, n)
 	}
-	leaf := saltedLeafHash(o.Salt, o.Data)
-	if !merkle.Verify(root, leaf, merkle.Proof{Index: o.Index, Path: o.Path}) {
-		return fmt.Errorf("merkle path invalid for leaf %d", o.Index)
+	if len(o.Data) != rowsPerLeaf*width {
+		return nil, fmt.Errorf("opening payload %d bytes, want %d", len(o.Data), rowsPerLeaf*width)
 	}
-	return nil
+	g := wantIndex / rowsPerLeaf
+	for _, b := range o.Data[min(n-g*rowsPerLeaf, rowsPerLeaf)*width:] {
+		if b != 0 {
+			return nil, fmt.Errorf("nonzero padding in the last leaf group")
+		}
+	}
+	if !merkle.Verify(root, saltedLeafHash(o.Salt, o.Data), merkle.Proof{Index: g, Path: o.Path}) {
+		return nil, fmt.Errorf("merkle path invalid for entry %d", wantIndex)
+	}
+	slot := wantIndex % rowsPerLeaf
+	return o.Data[slot*width : (slot+1)*width], nil
+}
+
+// row verifies the opening as trace row i of n and decodes it.
+func (o *Opening) row(root merkle.Hash, i, n int) (Row, error) {
+	b, err := o.verify(root, i, n, rowBytes)
+	if err != nil {
+		return Row{}, err
+	}
+	return decodeRow(b)
+}
+
+// mem verifies the opening as memory-log entry i of n and decodes it.
+func (o *Opening) mem(root merkle.Hash, i, n int) (MemEntry, error) {
+	b, err := o.verify(root, i, n, memBytes)
+	if err != nil {
+		return MemEntry{}, err
+	}
+	return decodeMemEntry(b)
+}
+
+// prod verifies the opening as running product i of n and decodes it.
+func (o *Opening) prod(root merkle.Hash, i, n int) (field.Elem, error) {
+	b, err := o.verify(root, i, n, prodBytes)
+	if err != nil {
+		return 0, err
+	}
+	return decodeProd(b)
+}
+
+// img verifies the opening as boundary-image pair i of n and decodes
+// it.
+func (o *Opening) img(root merkle.Hash, i, n int) (imagePair, error) {
+	b, err := o.verify(root, i, n, imgBytes)
+	if err != nil {
+		return imagePair{}, err
+	}
+	return decodeImagePair(b)
 }
 
 // size returns the encoded byte size of the opening.

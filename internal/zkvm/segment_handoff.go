@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"zkflow/internal/merkle"
 )
 
 // This file is the distributed-proving surface of the zkVM: everything
@@ -48,6 +46,8 @@ func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 		return nil, abort
 	}
 	receipt, err := proveExecutionSeeded(ex, opts, &seed)
+	// The execution was created here and the receipt does not alias its
+	// trace slices, so their slabs can go back to the pool.
 	releaseExecution(ex)
 	return receipt, err
 }
@@ -84,9 +84,10 @@ type SegmentRun struct {
 	opts ProveOptions
 	seed [32]byte
 
-	segs     []*segmentExecution
-	bndSeeds [][32]byte
-	bndTrees []*merkle.Tree
+	segs []*segmentExecution
+	// bnd[k] commits boundary k, segment k's entry image (bnd[0] is
+	// nil: segment 0 enters at genesis).
+	bnd []*table
 
 	releaseOnce sync.Once
 }
@@ -102,35 +103,28 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 	if err != nil {
 		return nil, err
 	}
-	releaseSegs := func() {
-		for _, s := range segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-			s.ex.Rows, s.ex.MemLog = nil, nil
-		}
-	}
+	r := &SegmentRun{prog: prog, opts: opts, seed: seed, segs: segs, bnd: make([]*table, len(segs))}
 	last := segs[len(segs)-1]
 	if last.ex.ExitCode != 0 && !opts.AllowNonZeroExit {
 		journal := make([]uint32, 0)
 		for _, s := range segs {
 			journal = append(journal, s.ex.Journal...)
 		}
-		releaseSegs()
+		r.Release()
 		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
 	}
 
-	r := &SegmentRun{prog: prog, opts: opts, seed: seed, segs: segs}
+	// Boundary k is segment k's entry image == segment k-1's exit
+	// image; both adjacent segment proofs open leaves of the same tree
+	// under the same boundary sub-seed.
 	pool := newWorkerPool(opts.Parallelism)
 	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
-	r.bndSeeds = make([][32]byte, len(segs))
-	r.bndTrees = make([]*merkle.Tree, len(segs))
 	for k := 1; k < len(segs); k++ {
 		img := segs[k].entryImg
-		r.bndSeeds[k] = deriveSubSeed(&seed, "bnd", k)
-		bs := &r.bndSeeds[k]
-		r.bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, pool,
+		bs := deriveSubSeed(&seed, "bnd", k)
+		r.bnd[k] = commitStream(&bs, treeBoundary, len(img), imgBytes, pool,
 			func(i int, dst []byte) { encodeImagePairInto(dst, img[i]) })
-		root := r.bndTrees[k].Root()
+		root := r.bnd[k].root()
 		segs[k].entry.MemRoot = root
 		segs[k-1].exit.MemRoot = root
 	}
@@ -149,26 +143,27 @@ func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 	if index < 0 || index >= len(r.segs) {
 		return nil, fmt.Errorf("zkvm: segment index %d out of range [0,%d)", index, len(r.segs))
 	}
+	return r.prove(index, newWorkerPool(r.opts.Parallelism))
+}
+
+// prove seals segment index on pool.
+func (r *SegmentRun) prove(index int, pool *workerPool) (*SegmentReceipt, error) {
 	segSeed := deriveSubSeed(&r.seed, "seg", index)
-	var entrySeed, exitSeed *[32]byte
-	var entryTree, exitTree *merkle.Tree
-	if index > 0 {
-		entrySeed, entryTree = &r.bndSeeds[index], r.bndTrees[index]
-	}
+	var exit *table
 	if index+1 < len(r.segs) {
-		exitSeed, exitTree = &r.bndSeeds[index+1], r.bndTrees[index+1]
+		exit = r.bnd[index+1]
 	}
-	pool := newWorkerPool(r.opts.Parallelism)
-	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed,
-		entrySeed, entryTree, exitSeed, exitTree, pool)
+	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], exit, pool)
 }
 
 // Release returns the run's trace slabs and boundary trees to their
 // pools. Idempotent; the run must not be used afterwards.
 func (r *SegmentRun) Release() {
 	r.releaseOnce.Do(func() {
-		for k := 1; k < len(r.bndTrees); k++ {
-			r.bndTrees[k].Release()
+		for _, b := range r.bnd {
+			if b != nil {
+				b.release()
+			}
 		}
 		for _, s := range r.segs {
 			putRowSlab(s.ex.Rows)

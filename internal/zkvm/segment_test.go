@@ -309,6 +309,67 @@ func TestCompositeAdversarial(t *testing.T) {
 		cc.Segments[1].Final = true
 	})
 
+	// Packed boundary-image and memory openings: the continuation
+	// families open whole leaf groups too.
+	imgCheck := func(cc *CompositeReceipt) *Opening {
+		for _, sr := range cc.Segments {
+			if len(sr.ImportChecks) > 0 {
+				return &sr.ImportChecks[0].Img
+			}
+		}
+		t.Fatal("no import checks")
+		return nil
+	}
+	expectFail("image opening moved to the next slot", func(cc *CompositeReceipt) {
+		imgCheck(cc).Index++
+	})
+	expectFail("image group one byte long", func(cc *CompositeReceipt) {
+		o := imgCheck(cc)
+		o.Data = append(o.Data, 0)
+	})
+	expectFail("image group one byte short", func(cc *CompositeReceipt) {
+		o := imgCheck(cc)
+		o.Data = o.Data[:len(o.Data)-1]
+	})
+	expectFail("unchecked image slot tampered", func(cc *CompositeReceipt) {
+		o := imgCheck(cc)
+		o.Data[(o.Index%rowsPerLeaf+1)%rowsPerLeaf*imgBytes]++
+	})
+	expectFail("neighbour image group substituted", func(cc *CompositeReceipt) {
+		for _, sr := range cc.Segments {
+			ic := sr.ImportChecks
+			for k := 1; k < len(ic); k++ {
+				if ic[k].Img.Index/rowsPerLeaf != ic[0].Img.Index/rowsPerLeaf {
+					o := ic[k].Img
+					o.Index = ic[0].Img.Index
+					ic[0].Img = o
+					return
+				}
+			}
+		}
+		t.Fatal("no two import checks in different groups")
+	})
+	expectFail("nonzero pad slot in the last trace group", func(cc *CompositeReceipt) {
+		for _, sr := range cc.Segments {
+			if sr.Seal.NumRows%rowsPerLeaf != 0 {
+				o := &sr.Seal.LastRow
+				o.Data[len(o.Data)-1] = 1
+				return
+			}
+		}
+		t.Fatal("no segment with a partial last trace group")
+	})
+	expectFail("unchecked exit-witness slot tampered", func(cc *CompositeReceipt) {
+		for _, sr := range cc.Segments {
+			if len(sr.ExitChecks) > 0 {
+				o := &sr.ExitChecks[0].SortP
+				o.Data[(o.Index%rowsPerLeaf+1)%rowsPerLeaf*memBytes]++
+				return
+			}
+		}
+		t.Fatal("no exit checks")
+	})
+
 	// Unforged chain still verifies after all that (reload isolation).
 	if err := VerifyComposite(prog, reload(), VerifyOptions{}); err != nil {
 		t.Fatalf("control: %v", err)

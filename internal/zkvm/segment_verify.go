@@ -88,7 +88,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 		return vErr("entry image larger than the memory log")
 	}
 
-	tr := transcript.New("zkvm-seg-v1")
+	tr := transcript.New("zkvm-seg-v2")
 	absorbSegmentPublic(tr, sr)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
@@ -100,10 +100,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
-	if err := s.FirstRow.verify(s.ExecRoot, 0, rowBytes); err != nil {
-		return vErr("first row: %v", err)
-	}
-	first, err := decodeRow(s.FirstRow.Data)
+	first, err := s.FirstRow.row(s.ExecRoot, 0, nRows)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -116,10 +113,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.InPtr != 0 || first.JPtr != 0 {
 		return vErr("first row cursors not rebased to the segment")
 	}
-	if err := s.LastRow.verify(s.ExecRoot, nRows-1, rowBytes); err != nil {
-		return vErr("last row: %v", err)
-	}
-	last, err := decodeRow(s.LastRow.Data)
+	last, err := s.LastRow.row(s.ExecRoot, nRows-1, nRows)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}
@@ -258,17 +252,11 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 // verifyImportCheck: program-order log entry i must be the synthetic
 // import write of entry-image pair i.
 func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
-	if err := c.MemProg.verify(sr.Seal.MemProgRoot, i, memBytes); err != nil {
-		return err
-	}
-	if err := c.Img.verify(sr.Entry.MemRoot, i, imgBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.MemProg.Data)
+	e, err := c.MemProg.mem(sr.Seal.MemProgRoot, i, int(sr.Seal.NumMem))
 	if err != nil {
 		return err
 	}
-	p, err := decodeImagePair(c.Img.Data)
+	p, err := c.Img.img(sr.Entry.MemRoot, i, int(sr.Entry.MemLen))
 	if err != nil {
 		return err
 	}
@@ -289,10 +277,7 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 // follows from the opened successor having a different address, given
 // the sorted-order invariant sampled by the sort family.
 func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
-	if err := c.Img.verify(sr.Exit.MemRoot, j, imgBytes); err != nil {
-		return err
-	}
-	p, err := decodeImagePair(c.Img.Data)
+	p, err := c.Img.img(sr.Exit.MemRoot, j, int(sr.Exit.MemLen))
 	if err != nil {
 		return err
 	}
@@ -303,10 +288,7 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
 	if pos >= nMem {
 		return vErr("witness position %d outside the log", pos)
 	}
-	if err := c.SortP.verify(sr.Seal.MemSortRoot, pos, memBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.SortP.Data)
+	e, err := c.SortP.mem(sr.Seal.MemSortRoot, pos, nMem)
 	if err != nil {
 		return err
 	}
@@ -317,10 +299,7 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
 		if !c.HasP1 {
 			return vErr("missing successor opening")
 		}
-		if err := c.SortP1.verify(sr.Seal.MemSortRoot, pos+1, memBytes); err != nil {
-			return err
-		}
-		e1, err := decodeMemEntry(c.SortP1.Data)
+		e1, err := c.SortP1.mem(sr.Seal.MemSortRoot, pos+1, nMem)
 		if err != nil {
 			return err
 		}
@@ -336,10 +315,7 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
 // verifyCoverCheck: if sorted-log entry i is the last access of its
 // address and leaves a nonzero value, the exit image must contain it.
 func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i, nMem int) error {
-	if err := c.EntryI.verify(sr.Seal.MemSortRoot, i, memBytes); err != nil {
-		return err
-	}
-	ei, err := decodeMemEntry(c.EntryI.Data)
+	ei, err := c.EntryI.mem(sr.Seal.MemSortRoot, i, nMem)
 	if err != nil {
 		return err
 	}
@@ -348,10 +324,7 @@ func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i, nMem int) error {
 		if !c.HasJ {
 			return vErr("missing successor opening")
 		}
-		if err := c.EntryJ.verify(sr.Seal.MemSortRoot, i+1, memBytes); err != nil {
-			return err
-		}
-		ej, err := decodeMemEntry(c.EntryJ.Data)
+		ej, err := c.EntryJ.mem(sr.Seal.MemSortRoot, i+1, nMem)
 		if err != nil {
 			return err
 		}
@@ -363,13 +336,7 @@ func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i, nMem int) error {
 		if !c.HasImg {
 			return vErr("live word %d missing from the exit image", ei.Addr)
 		}
-		if int(c.ExitIdx) >= int(sr.Exit.MemLen) {
-			return vErr("exit index %d outside the image", c.ExitIdx)
-		}
-		if err := c.Img.verify(sr.Exit.MemRoot, int(c.ExitIdx), imgBytes); err != nil {
-			return err
-		}
-		p, err := decodeImagePair(c.Img.Data)
+		p, err := c.Img.img(sr.Exit.MemRoot, int(c.ExitIdx), int(sr.Exit.MemLen))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package zkvm
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -9,21 +11,27 @@ import (
 	"zkflow/internal/merkle"
 )
 
-// Serialized sizes of committed leaves.
+// Serialized sizes of committed table entries.
 const (
 	rowBytes  = 4 + 4*NumRegs + 4 + 4 + 4 // PC, regs, MemPtr, InPtr, JPtr
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
 	prodBytes = 8                         // one field element
-	saltBytes = 16
-	// saltPreBytes is the salt preimage seed || label || index.
-	saltPreBytes = 32 + 1 + 8
-	// maxLeafBytes bounds every committed leaf payload.
-	maxLeafBytes = rowBytes
+	saltBytes = aes.BlockSize
+	// maxEntryBytes bounds every committed entry.
+	maxEntryBytes = rowBytes
 )
 
-// Every salted leaf message 0x00 || salt || payload fits one
-// hashk.Msg; this fails to compile if a leaf outgrows it.
-const _ = uint(hashk.MaxMsg - (1 + saltBytes + maxLeafBytes))
+// rowsPerLeaf is how many consecutive entries of a table one salted
+// leaf commits: leaf g is 0x00 || salt_g || entry 4g || ... ||
+// entry 4g+3, with the slots past the end of the table zero. Packing
+// cuts the salts, the leaf-padding blocks and the internal nodes of
+// every tree by 4x; sampled transitions open adjacent entries, which
+// mostly share a leaf.
+const rowsPerLeaf = 4
+
+// Every packed leaf message 0x00 || salt || group fits one hashk.Msg;
+// this fails to compile if a leaf outgrows it.
+const _ = uint(hashk.MaxMsg - (1 + saltBytes + rowsPerLeaf*maxEntryBytes))
 
 // encodeRowInto serialises a trace row into b (len >= rowBytes).
 // Allocation-free so the commit pipeline can stream rows through a
@@ -37,14 +45,6 @@ func encodeRowInto(b []byte, r *Row) {
 	binary.LittleEndian.PutUint32(b[off:], r.MemPtr)
 	binary.LittleEndian.PutUint32(b[off+4:], r.InPtr)
 	binary.LittleEndian.PutUint32(b[off+8:], r.JPtr)
-}
-
-// encodeRow serialises a trace row into a fresh buffer (used only for
-// the ~k opened rows, re-encoded on demand).
-func encodeRow(r *Row) []byte {
-	b := make([]byte, rowBytes)
-	encodeRowInto(b, r)
-	return b
 }
 
 // decodeRow parses a serialised trace row.
@@ -78,14 +78,6 @@ func encodeMemEntryInto(b []byte, e *MemEntry) {
 	}
 }
 
-// encodeMemEntry serialises a memory-log entry into a fresh buffer
-// (openings only).
-func encodeMemEntry(e *MemEntry) []byte {
-	b := make([]byte, memBytes)
-	encodeMemEntryInto(b, e)
-	return b
-}
-
 // decodeMemEntry parses a serialised memory-log entry.
 func decodeMemEntry(b []byte) (MemEntry, error) {
 	var e MemEntry
@@ -109,14 +101,6 @@ func encodeProdInto(b []byte, p field.Elem) {
 	binary.LittleEndian.PutUint64(b, uint64(p))
 }
 
-// encodeProd serialises a running-product element into a fresh buffer
-// (openings only).
-func encodeProd(p field.Elem) []byte {
-	b := make([]byte, prodBytes)
-	encodeProdInto(b, p)
-	return b
-}
-
 // decodeProd parses a running-product element.
 func decodeProd(b []byte) (field.Elem, error) {
 	if len(b) != prodBytes {
@@ -129,29 +113,37 @@ func decodeProd(b []byte) (field.Elem, error) {
 	return field.Elem(v), nil
 }
 
-// deriveSalt computes the per-leaf blinding salt. Each committed leaf
-// is salted so that unopened leaves reveal nothing about the trace
-// (hiding commitment under SHA-256).
-func deriveSalt(seed *[32]byte, treeLabel byte, index int) [saltBytes]byte {
-	m := saltMsg(seed, treeLabel)
-	binary.LittleEndian.PutUint64(m.Bytes()[33:], uint64(index))
-	h := hashk.Sum[[32]byte](&m)
-	var salt [saltBytes]byte
-	copy(salt[:], h[:saltBytes])
-	return salt
+// saltCipher keys the salt PRF of one proof: AES-256 under its secret
+// 32-byte seed.
+func saltCipher(seed *[32]byte) cipher.Block {
+	blk, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err) // a 32-byte key is always valid
+	}
+	return blk
 }
 
-// saltMsg returns the salt preimage seed || label || index of a tree
-// with the index bytes still zero.
-func saltMsg(seed *[32]byte, treeLabel byte) hashk.Msg {
-	m := hashk.NewMsg(saltPreBytes)
-	b := m.Bytes()
-	copy(b, seed[:])
-	b[32] = treeLabel
-	return m
+// saltCounter writes the AES input block of leaf g of a table:
+// label || 0^7 || g as a big-endian uint64. Successive leaves are
+// successive CTR counter blocks, so a run of salts is one keystream.
+func saltCounter(b *[aes.BlockSize]byte, treeLabel byte, g int) {
+	*b = [aes.BlockSize]byte{0: treeLabel}
+	binary.BigEndian.PutUint64(b[8:], uint64(g))
 }
 
-// saltedLeafHash is the committed hash of (salt || payload), hashed
+// deriveSalt writes the blinding salt of leaf g, one AES block, into
+// salt. Every committed leaf is salted so that unopened leaves reveal
+// nothing about the trace: hiding rests on AES as a PRF under the
+// secret seed, and the verifier never derives a salt. It encrypts in
+// place into the caller's block, since a block handed through the
+// cipher.Block interface escapes: a local one would cost an
+// allocation per salt.
+func deriveSalt(salt *[saltBytes]byte, blk cipher.Block, treeLabel byte, g int) {
+	saltCounter(salt, treeLabel, g)
+	blk.Encrypt(salt[:], salt[:])
+}
+
+// saltedLeafHash is the committed hash of (salt || group), hashed
 // without materializing the concatenation (zero allocations for every
 // committed leaf shape in this package).
 func saltedLeafHash(salt [saltBytes]byte, payload []byte) merkle.Hash {
@@ -167,61 +159,128 @@ const (
 	treeProdSort
 )
 
-// commitStream builds a salted Merkle tree over n leaves without ever
-// materializing the leaf payload table: encode(i, dst) serialises row
-// i into a per-goroutine scratch buffer and the (salt || payload) leaf
-// hash streams straight out of it. This fuses the old trace_encode
-// stage into the commit — the only payload bytes that outlive the call
-// are the ~k Fiat–Shamir-opened rows, re-encoded on demand by the
-// opening path.
+// table is one committed, salted table of a seal: its Merkle tree and
+// what the opener needs to rebuild an opened leaf. The commit streamed
+// every payload through scratch, so an opening re-encodes its group on
+// demand; encoding is deterministic, so the bytes are exactly the ones
+// hashed into the committed leaf.
+type table struct {
+	tree     *merkle.Tree
+	salts    cipher.Block
+	label    byte
+	n, width int
+	enc      func(i int, dst []byte)
+}
+
+// commitStream builds a salted, packed Merkle tree over an n-entry
+// table of width-byte entries without ever materializing the leaf
+// payloads: encode(i, dst) serialises entry i straight into the leaf
+// message of its group, and the leaf hash streams out of it.
 //
 // Leaf hashing and the tree's internal levels both fan out in
 // contiguous chunks over the pool it is handed, so a nested stage
 // stays within its share of ProveOptions.Parallelism and a 1-worker
 // pool hashes every leaf inline, in index order. Chunking is purely
 // index-partitioned, so the tree is byte-identical at any pool width.
-func commitStream(seed *[32]byte, label byte, n, leafBytes int, pool *workerPool, encode func(i int, dst []byte)) *merkle.Tree {
-	return merkle.BuildLeavesParallel(n, pool.workers, func(hashes []merkle.Hash) {
-		hashLeaves(seed, label, leafBytes, pool, hashes, encode)
+func commitStream(seed *[32]byte, label byte, n, width int, pool *workerPool, encode func(i int, dst []byte)) *table {
+	t := &table{salts: saltCipher(seed), label: label, n: n, width: width, enc: encode}
+	t.tree = merkle.BuildLeavesParallel(numLeaves(n), pool.workers, func(hashes []merkle.Hash) {
+		t.hashLeaves(pool, hashes)
 	})
+	return t
 }
 
-// hashLeaves fills hashes[i] with the salted leaf hash of row i,
-// one contiguous chunk per pool worker.
-func hashLeaves(seed *[32]byte, label byte, leafBytes int, pool *workerPool, hashes []merkle.Hash, encode func(i int, dst []byte)) {
+// numLeaves is the leaf count of a packed n-entry table.
+func numLeaves(n int) int { return (n + rowsPerLeaf - 1) / rowsPerLeaf }
+
+// encodeGroup serialises leaf group g into dst (rowsPerLeaf*width
+// bytes), zeroing the slots past the end of the table.
+func (t *table) encodeGroup(dst []byte, g int) {
+	for j := range rowsPerLeaf {
+		slot := dst[j*t.width : (j+1)*t.width]
+		if i := g*rowsPerLeaf + j; i < t.n {
+			t.enc(i, slot)
+		} else {
+			clear(slot)
+		}
+	}
+}
+
+// root is the table's commitment.
+func (t *table) root() merkle.Hash { return t.tree.Root() }
+
+// open reveals entry i: the whole leaf group holding it, the group's
+// salt and its Merkle path. The indices a prover opens are derived
+// from committed lengths, so a failure is a prover bug.
+func (t *table) open(i int) Opening {
+	g := i / rowsPerLeaf
+	proof, err := t.tree.Prove(g)
+	if err != nil {
+		panic(fmt.Sprintf("zkvm: opening entry %d: %v", i, err))
+	}
+	// The salt is derived in the block ahead of the group in one
+	// buffer, so it costs no allocation of its own.
+	buf := make([]byte, saltBytes+rowsPerLeaf*t.width)
+	salt := (*[saltBytes]byte)(buf)
+	deriveSalt(salt, t.salts, t.label, g)
+	data := buf[saltBytes:]
+	t.encodeGroup(data, g)
+	return Opening{Index: i, Salt: *salt, Data: data, Path: proof.Path}
+}
+
+// release returns the tree's storage to its pool.
+func (t *table) release() { t.tree.Release() }
+
+// saltBatch is how many salts hashLeaves draws from the keystream at
+// a time (even, so a pair of leaves never straddles two draws).
+const saltBatch = 64
+
+// hashLeaves fills hashes[g] with the salted hash of leaf group g, one
+// contiguous run of groups per pool worker.
+func (t *table) hashLeaves(pool *workerPool, hashes []merkle.Hash) {
 	pool.forChunks(len(hashes), func(lo, hi int) {
-		// Both hash inputs are padded once per chunk and patched per
-		// row: the salt preimage (seed || label || index) only changes
-		// in its index bytes, and the leaf message (0x00 || salt ||
-		// payload) is encoded into in place. Rows go two per kernel
-		// call, an odd last row alone. The digests are exactly
-		// deriveSalt + saltedLeafHash — TestHashLeavesMatchesReference
-		// pins the equivalence.
-		var salt, leaf [2]hashk.Msg
-		var s, l [2][]byte
-		for k := range 2 {
-			salt[k] = saltMsg(seed, label)
-			leaf[k] = hashk.NewMsg(1 + saltBytes + leafBytes)
-			s[k], l[k] = salt[k].Bytes(), leaf[k].Bytes()
+		// A chunk's salts are one AES-CTR keystream that starts at its
+		// first group's counter block. The two leaf messages (0x00 ||
+		// salt || group) are padded once and patched per group; groups
+		// go two per kernel call, an odd last one alone. The digests are
+		// exactly deriveSalt + saltedLeafHash over each group —
+		// TestHashLeavesMatchesReference pins the equivalence.
+		//
+		// The counter block, the keystream batch and the leaf messages
+		// all escape (through the cipher interfaces and the encoder),
+		// so they share one allocation per chunk.
+		sc := new(struct {
+			iv   [aes.BlockSize]byte
+			ks   [saltBatch * saltBytes]byte
+			leaf [2]hashk.Msg
+		})
+		saltCounter(&sc.iv, t.label, lo)
+		ctr := cipher.NewCTR(t.salts, sc.iv[:])
+		ks, leaf := sc.ks[:], &sc.leaf
+		var l [2][]byte
+		for k := range leaf {
+			leaf[k] = hashk.NewMsg(1 + saltBytes + rowsPerLeaf*t.width)
+			l[k] = leaf[k].Bytes()
 			l[k][0] = hashk.LeafPrefix
 		}
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			binary.LittleEndian.PutUint64(s[0][33:], uint64(i))
-			binary.LittleEndian.PutUint64(s[1][33:], uint64(i+1))
-			h0, h1 := hashk.Sum2[[32]byte](&salt[0], &salt[1])
-			copy(l[0][1:1+saltBytes], h0[:saltBytes])
-			copy(l[1][1:1+saltBytes], h1[:saltBytes])
-			encode(i, l[0][1+saltBytes:])
-			encode(i+1, l[1][1+saltBytes:])
-			hashes[i], hashes[i+1] = hashk.Sum2[merkle.Hash](&leaf[0], &leaf[1])
+		fill := func(k, g int) {
+			off := (g - lo) % saltBatch * saltBytes
+			copy(l[k][1:], ks[off:off+saltBytes])
+			t.encodeGroup(l[k][1+saltBytes:], g)
 		}
-		if i < hi {
-			binary.LittleEndian.PutUint64(s[0][33:], uint64(i))
-			h := hashk.Sum[[32]byte](&salt[0])
-			copy(l[0][1:1+saltBytes], h[:saltBytes])
-			encode(i, l[0][1+saltBytes:])
-			hashes[i] = hashk.Sum[merkle.Hash](&leaf[0])
+		for g := lo; g < hi; g += 2 {
+			if (g-lo)%saltBatch == 0 {
+				draw := ks[:min(hi-g, saltBatch)*saltBytes]
+				clear(draw)
+				ctr.XORKeyStream(draw, draw)
+			}
+			fill(0, g)
+			if g+1 == hi {
+				hashes[g] = hashk.Sum[merkle.Hash](&leaf[0])
+				break
+			}
+			fill(1, g+1)
+			hashes[g], hashes[g+1] = hashk.Sum2[merkle.Hash](&leaf[0], &leaf[1])
 		}
 	})
 }

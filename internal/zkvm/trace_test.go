@@ -87,24 +87,21 @@ func TestSortedMemLogMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHashLeavesMatchesReference checks the two-lane leaf loop against
-// deriveSalt + saltedLeafHash row by row, for odd and even tails and at
-// the chunk edges of every pool width from 1 to 7.
+// TestHashLeavesMatchesReference checks the keystream-salted,
+// two-lane leaf loop against deriveSalt + saltedLeafHash group by
+// group, for full and partial last groups, odd and even leaf counts
+// and the chunk edges of every pool width from 1 to 7.
 func TestHashLeavesMatchesReference(t *testing.T) {
 	seed := &[32]byte{0xc3, 17: 0x5a}
-	for _, leafBytes := range []int{prodBytes, memBytes, rowBytes} {
-		for _, n := range []int{1, 2, 3, 4, 13, 14, 29, 64} {
-			want := make([]merkle.Hash, n)
-			payload := make([]byte, leafBytes)
-			for i := range want {
-				fillLeaf(i, payload)
-				want[i] = saltedLeafHash(deriveSalt(seed, treeMemSort, i), payload)
-			}
+	for _, width := range []int{prodBytes, memBytes, rowBytes} {
+		for _, n := range []int{1, 2, 3, 4, 5, 13, 14, 29, 64, 1025} {
+			want := refLeafHashes(seed, treeMemSort, n, width, fillLeaf)
+			tb := &table{salts: saltCipher(seed), label: treeMemSort, n: n, width: width, enc: fillLeaf}
 			for w := 1; w <= 7; w++ {
-				got := make([]merkle.Hash, n)
-				hashLeaves(seed, treeMemSort, leafBytes, newWorkerPool(w), got, fillLeaf)
+				got := make([]merkle.Hash, numLeaves(n))
+				tb.hashLeaves(newWorkerPool(w), got)
 				if !slices.Equal(got, want) {
-					t.Fatalf("leafBytes=%d n=%d width=%d: leaf hashes differ from reference", leafBytes, n, w)
+					t.Fatalf("width=%d n=%d pool=%d: leaf hashes differ from reference", width, n, w)
 				}
 			}
 		}

@@ -48,7 +48,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 
 	// Re-derive the Fiat–Shamir challenges from the public statement
 	// and the commitments, in the prover's exact order.
-	tr := transcript.New("zkvm-seal-v1")
+	tr := transcript.New("zkvm-seal-v2")
 	absorbPublic(tr, r)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
@@ -59,10 +59,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 	tr.Append("prodsort-root", s.ProdSortRoot[:])
 
 	// --- Boundary checks ---
-	if err := s.FirstRow.verify(s.ExecRoot, 0, rowBytes); err != nil {
-		return vErr("first row: %v", err)
-	}
-	first, err := decodeRow(s.FirstRow.Data)
+	first, err := s.FirstRow.row(s.ExecRoot, 0, nRows)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -74,10 +71,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 			return vErr("first row register r%d = %d, want 0", i, v)
 		}
 	}
-	if err := s.LastRow.verify(s.ExecRoot, nRows-1, rowBytes); err != nil {
-		return vErr("last row: %v", err)
-	}
-	last, err := decodeRow(s.LastRow.Data)
+	last, err := s.LastRow.row(s.ExecRoot, nRows-1, nRows)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}
@@ -151,20 +145,14 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 // the first program-order product, the sorted-log first-read rule, and
 // the grand-product equality that establishes multiset equivalence.
 func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
-	if err := s.MemProgFirst.verify(s.MemProgRoot, 0, memBytes); err != nil {
-		return vErr("memprog first: %v", err)
-	}
-	e0, err := decodeMemEntry(s.MemProgFirst.Data)
+	e0, err := s.MemProgFirst.mem(s.MemProgRoot, 0, nMem)
 	if err != nil {
 		return vErr("memprog first: %v", err)
 	}
 	if e0.Seq != 0 {
 		return vErr("first program-order entry has seq %d", e0.Seq)
 	}
-	if err := s.ProdProgFirst.verify(s.ProdProgRoot, 0, prodBytes); err != nil {
-		return vErr("prodprog first: %v", err)
-	}
-	p0, err := decodeProd(s.ProdProgFirst.Data)
+	p0, err := s.ProdProgFirst.prod(s.ProdProgRoot, 0, nMem)
 	if err != nil {
 		return vErr("prodprog first: %v", err)
 	}
@@ -172,20 +160,14 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return vErr("first program-order product incorrect")
 	}
 
-	if err := s.MemSortFirst.verify(s.MemSortRoot, 0, memBytes); err != nil {
-		return vErr("memsort first: %v", err)
-	}
-	s0, err := decodeMemEntry(s.MemSortFirst.Data)
+	s0, err := s.MemSortFirst.mem(s.MemSortRoot, 0, nMem)
 	if err != nil {
 		return vErr("memsort first: %v", err)
 	}
 	if !s0.IsWrite && s0.Val != 0 {
 		return vErr("first sorted access reads %d from fresh memory", s0.Val)
 	}
-	if err := s.ProdSortFirst.verify(s.ProdSortRoot, 0, prodBytes); err != nil {
-		return vErr("prodsort first: %v", err)
-	}
-	q0, err := decodeProd(s.ProdSortFirst.Data)
+	q0, err := s.ProdSortFirst.prod(s.ProdSortRoot, 0, nMem)
 	if err != nil {
 		return vErr("prodsort first: %v", err)
 	}
@@ -193,17 +175,11 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return vErr("first sorted product incorrect")
 	}
 
-	if err := s.ProdProgLast.verify(s.ProdProgRoot, nMem-1, prodBytes); err != nil {
-		return vErr("prodprog last: %v", err)
-	}
-	if err := s.ProdSortLast.verify(s.ProdSortRoot, nMem-1, prodBytes); err != nil {
-		return vErr("prodsort last: %v", err)
-	}
-	pl, err := decodeProd(s.ProdProgLast.Data)
+	pl, err := s.ProdProgLast.prod(s.ProdProgRoot, nMem-1, nMem)
 	if err != nil {
 		return vErr("prodprog last: %v", err)
 	}
-	ql, err := decodeProd(s.ProdSortLast.Data)
+	ql, err := s.ProdSortLast.prod(s.ProdSortRoot, nMem-1, nMem)
 	if err != nil {
 		return vErr("prodsort last: %v", err)
 	}
@@ -285,29 +261,19 @@ func (e *replayEnv) writeJournal(val uint32) error {
 
 // verifyExecCheck re-executes the transition rowIdx -> rowIdx+1.
 func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal []uint32) error {
-	if err := c.RowI.verify(s.ExecRoot, rowIdx, rowBytes); err != nil {
-		return err
-	}
-	if err := c.RowJ.verify(s.ExecRoot, rowIdx+1, rowBytes); err != nil {
-		return err
-	}
-	rowI, err := decodeRow(c.RowI.Data)
+	nRows, nMem := int(s.NumRows), int(s.NumMem)
+	rowI, err := c.RowI.row(s.ExecRoot, rowIdx, nRows)
 	if err != nil {
 		return err
 	}
-	rowJ, err := decodeRow(c.RowJ.Data)
+	rowJ, err := c.RowJ.row(s.ExecRoot, rowIdx+1, nRows)
 	if err != nil {
 		return err
-	}
-	for n := range c.Mem {
-		if err := c.Mem[n].verify(s.MemProgRoot, int(rowI.MemPtr)+n, memBytes); err != nil {
-			return fmt.Errorf("mem opening %d: %v", n, err)
-		}
 	}
 	entries := make([]MemEntry, len(c.Mem))
 	for n := range c.Mem {
-		if entries[n], err = decodeMemEntry(c.Mem[n].Data); err != nil {
-			return err
+		if entries[n], err = c.Mem[n].mem(s.MemProgRoot, int(rowI.MemPtr)+n, nMem); err != nil {
+			return fmt.Errorf("mem opening %d: %v", n, err)
 		}
 	}
 	env := &replayEnv{
@@ -349,29 +315,21 @@ func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal [
 // verifyProdCheck checks one program-order running-product step:
 // P[i+1] = P[i] * (gamma - f(e[i+1])).
 func verifyProdCheck(s *Seal, c *ProdCheck, i int, alpha, gamma field.Elem) error {
-	if err := c.Entry.verify(s.MemProgRoot, i+1, memBytes); err != nil {
+	nMem := int(s.NumMem)
+	e, err := c.Entry.mem(s.MemProgRoot, i+1, nMem)
+	if err != nil {
 		return err
 	}
-	if err := c.ProdI.verify(s.ProdProgRoot, i, prodBytes); err != nil {
+	pi, err := c.ProdI.prod(s.ProdProgRoot, i, nMem)
+	if err != nil {
 		return err
 	}
-	if err := c.ProdJ.verify(s.ProdProgRoot, i+1, prodBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.Entry.Data)
+	pj, err := c.ProdJ.prod(s.ProdProgRoot, i+1, nMem)
 	if err != nil {
 		return err
 	}
 	if e.Seq != uint32(i+1) {
 		return fmt.Errorf("program-order entry %d has seq %d", i+1, e.Seq)
-	}
-	pi, err := decodeProd(c.ProdI.Data)
-	if err != nil {
-		return err
-	}
-	pj, err := decodeProd(c.ProdJ.Data)
-	if err != nil {
-		return err
 	}
 	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(&e, alpha))) {
 		return fmt.Errorf("product step incorrect")
@@ -382,23 +340,20 @@ func verifyProdCheck(s *Seal, c *ProdCheck, i int, alpha, gamma field.Elem) erro
 // verifySortCheck checks sorted-log adjacency i, i+1: ordering,
 // read-consistency, and the sorted running-product step.
 func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) error {
-	if err := c.EntryI.verify(s.MemSortRoot, i, memBytes); err != nil {
-		return err
-	}
-	if err := c.EntryJ.verify(s.MemSortRoot, i+1, memBytes); err != nil {
-		return err
-	}
-	if err := c.ProdI.verify(s.ProdSortRoot, i, prodBytes); err != nil {
-		return err
-	}
-	if err := c.ProdJ.verify(s.ProdSortRoot, i+1, prodBytes); err != nil {
-		return err
-	}
-	ei, err := decodeMemEntry(c.EntryI.Data)
+	nMem := int(s.NumMem)
+	ei, err := c.EntryI.mem(s.MemSortRoot, i, nMem)
 	if err != nil {
 		return err
 	}
-	ej, err := decodeMemEntry(c.EntryJ.Data)
+	ej, err := c.EntryJ.mem(s.MemSortRoot, i+1, nMem)
+	if err != nil {
+		return err
+	}
+	pi, err := c.ProdI.prod(s.ProdSortRoot, i, nMem)
+	if err != nil {
+		return err
+	}
+	pj, err := c.ProdJ.prod(s.ProdSortRoot, i+1, nMem)
 	if err != nil {
 		return err
 	}
@@ -414,14 +369,6 @@ func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) erro
 		}
 	} else if !ej.IsWrite && ej.Val != 0 {
 		return fmt.Errorf("first access to %d reads %d from fresh memory", ej.Addr, ej.Val)
-	}
-	pi, err := decodeProd(c.ProdI.Data)
-	if err != nil {
-		return err
-	}
-	pj, err := decodeProd(c.ProdJ.Data)
-	if err != nil {
-		return err
 	}
 	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(&ej, alpha))) {
 		return fmt.Errorf("sorted product step incorrect")
