@@ -165,6 +165,13 @@ func releaseExecution(ex *Execution) {
 // total copy traffic at N. Trace and memory logs reach tens of MB, so
 // this is a measurable slice of serial proving time (E14).
 func appendDoubling[T any](s []T, v T) []T {
+	s = growDoubling(s)
+	return append(s, v)
+}
+
+// growDoubling makes room for one more element, doubling the capacity
+// when the slice is full.
+func growDoubling[T any](s []T) []T {
 	if len(s) == cap(s) {
 		newCap := 2 * cap(s)
 		if newCap < 1024 {
@@ -174,7 +181,17 @@ func appendDoubling[T any](s []T, v T) []T {
 		copy(grown, s)
 		s = grown
 	}
-	return append(s, v)
+	return s
+}
+
+// pushRow extends the trace by one row and returns it for the caller
+// to fill in place; the slot may hold a stale pooled row, so every
+// field must be written.
+func pushRow(rows *[]Row) *Row {
+	s := growDoubling(*rows)
+	s = s[:len(s)+1]
+	*rows = s
+	return &s[len(s)-1]
 }
 
 // execEnv supplies the step function with its value sources. The
@@ -194,23 +211,25 @@ type ioCounts struct {
 	mem, in, journal uint32
 }
 
-// step executes the instruction at row.PC against env and returns the
-// successor machine state. It is the single source of truth for
-// TinyRISC semantics: the emulator and the seal verifier both call it.
-func step(prog *Program, row *Row, env execEnv) (nextPC uint32, nextRegs [NumRegs]uint32, counts ioCounts, halted bool, err error) {
+// step executes the instruction at row.PC against env, writes the
+// successor register file to *next and returns the successor pc. It is
+// the single source of truth for TinyRISC semantics: the emulator and
+// the seal verifier both call it. next must not alias row.Regs; on a
+// halt or an error its contents are unspecified.
+func step(prog *Program, row *Row, next *[NumRegs]uint32, env execEnv) (nextPC uint32, counts ioCounts, halted bool, err error) {
 	if row.PC >= uint32(len(prog.Instrs)) {
-		return 0, nextRegs, counts, false, fmt.Errorf("pc %d outside program of %d instructions", row.PC, len(prog.Instrs))
+		return 0, counts, false, fmt.Errorf("pc %d outside program of %d instructions", row.PC, len(prog.Instrs))
 	}
 	in := prog.Instrs[row.PC]
-	regs := row.Regs
+	*next = row.Regs
 	nextPC = row.PC + 1
 
 	setRd := func(v uint32) {
 		if in.Rd != 0 {
-			regs[in.Rd] = v
+			next[in.Rd] = v
 		}
 	}
-	rs1, rs2 := regs[in.Rs1], regs[in.Rs2]
+	rs1, rs2 := row.Regs[in.Rs1], row.Regs[in.Rs2]
 
 	switch in.Op {
 	case OpAdd:
@@ -270,13 +289,13 @@ func step(prog *Program, row *Row, env execEnv) (nextPC uint32, nextRegs [NumReg
 	case OpLw:
 		v, lerr := env.load(rs1 + in.Imm)
 		if lerr != nil {
-			return 0, regs, counts, false, lerr
+			return 0, counts, false, lerr
 		}
 		counts.mem++
 		setRd(v)
 	case OpSw:
 		if serr := env.store(rs1+in.Imm, rs2); serr != nil {
-			return 0, regs, counts, false, serr
+			return 0, counts, false, serr
 		}
 		counts.mem++
 	case OpBeq:
@@ -306,25 +325,25 @@ func step(prog *Program, row *Row, env execEnv) (nextPC uint32, nextRegs [NumReg
 		case SysRead:
 			v, rerr := env.readInput()
 			if rerr != nil {
-				return 0, regs, counts, false, rerr
+				return 0, counts, false, rerr
 			}
 			counts.in++
-			regs[R1] = v
+			next[R1] = v
 		case SysJournal:
-			if jerr := env.writeJournal(regs[R1]); jerr != nil {
-				return 0, regs, counts, false, jerr
+			if jerr := env.writeJournal(row.Regs[R1]); jerr != nil {
+				return 0, counts, false, jerr
 			}
 			counts.journal++
 		case SysHash:
-			addr, n, dst := regs[R1], regs[R2], regs[R3]
+			addr, n, dst := row.Regs[R1], row.Regs[R2], row.Regs[R3]
 			if n > maxHashWords {
-				return 0, regs, counts, false, fmt.Errorf("sys_hash length %d exceeds limit", n)
+				return 0, counts, false, fmt.Errorf("sys_hash length %d exceeds limit", n)
 			}
 			buf := make([]byte, 4*n)
 			for i := uint32(0); i < n; i++ {
 				v, lerr := env.load(addr + i)
 				if lerr != nil {
-					return 0, regs, counts, false, lerr
+					return 0, counts, false, lerr
 				}
 				counts.mem++
 				binary.LittleEndian.PutUint32(buf[4*i:], v)
@@ -333,31 +352,31 @@ func step(prog *Program, row *Row, env execEnv) (nextPC uint32, nextRegs [NumReg
 			for j := uint32(0); j < 8; j++ {
 				w := binary.LittleEndian.Uint32(digest[4*j:])
 				if serr := env.store(dst+j, w); serr != nil {
-					return 0, regs, counts, false, serr
+					return 0, counts, false, serr
 				}
 				counts.mem++
 			}
 		case SysInputLen:
 			v, rerr := env.inputLen()
 			if rerr != nil {
-				return 0, regs, counts, false, rerr
+				return 0, counts, false, rerr
 			}
-			regs[R1] = v
+			next[R1] = v
 		default:
-			return 0, regs, counts, false, fmt.Errorf("unknown ecall %d", in.Imm)
+			return 0, counts, false, fmt.Errorf("unknown ecall %d", in.Imm)
 		}
 	case OpHalt:
-		return row.PC, regs, counts, true, nil
+		return row.PC, counts, true, nil
 	default:
-		return 0, regs, counts, false, fmt.Errorf("invalid opcode %v", in.Op)
+		return 0, counts, false, fmt.Errorf("invalid opcode %v", in.Op)
 	}
-	regs[0] = 0 // r0 is hardwired
-	return nextPC, regs, counts, false, nil
+	next[0] = 0 // r0 is hardwired
+	return nextPC, counts, false, nil
 }
 
 // emuEnv is the concrete environment used during real execution.
 type emuEnv struct {
-	mem     map[uint32]uint32
+	mem     memory
 	memLog  []MemEntry
 	step    uint32
 	input   []uint32
@@ -366,13 +385,13 @@ type emuEnv struct {
 }
 
 func (e *emuEnv) load(addr uint32) (uint32, error) {
-	v := e.mem[addr]
+	v := e.mem.get(addr)
 	e.memLog = appendDoubling(e.memLog, MemEntry{Addr: addr, Val: v, Seq: uint32(len(e.memLog)), Step: e.step})
 	return v, nil
 }
 
 func (e *emuEnv) store(addr, val uint32) error {
-	e.mem[addr] = val
+	e.mem.set(addr, val)
 	e.memLog = appendDoubling(e.memLog, MemEntry{Addr: addr, Val: val, Seq: uint32(len(e.memLog)), Step: e.step, IsWrite: true})
 	return nil
 }
@@ -418,7 +437,7 @@ func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error
 		maxSteps = DefaultMaxSteps
 	}
 	hintRows, hintMem := prog.traceSizeHint()
-	env := &emuEnv{mem: make(map[uint32]uint32), input: input, memLog: getMemSlabSized(hintMem)}
+	env := &emuEnv{input: input, memLog: getMemSlabSized(hintMem)}
 	var (
 		pc   uint32
 		regs [NumRegs]uint32
@@ -430,10 +449,11 @@ func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error
 			putMemSlab(env.memLog)
 			return nil, ErrStepLimit
 		}
-		row := Row{PC: pc, Regs: regs, MemPtr: uint32(len(env.memLog)), InPtr: uint32(env.inPtr), JPtr: uint32(len(env.journal))}
-		rows = appendDoubling(rows, row)
+		row := pushRow(&rows)
+		row.PC, row.Regs = pc, regs
+		row.MemPtr, row.InPtr, row.JPtr = uint32(len(env.memLog)), uint32(env.inPtr), uint32(len(env.journal))
 		env.step = uint32(stepNo)
-		nextPC, nextRegs, _, halted, err := step(prog, &row, env)
+		nextPC, _, halted, err := step(prog, row, &regs, env)
 		if err != nil {
 			putRowSlab(rows)
 			putMemSlab(env.memLog)
@@ -446,9 +466,9 @@ func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error
 				Rows:     rows,
 				MemLog:   env.memLog,
 				Journal:  env.journal,
-				ExitCode: regs[R1],
+				ExitCode: row.Regs[R1],
 			}, nil
 		}
-		pc, regs = nextPC, nextRegs
+		pc = nextPC
 	}
 }

@@ -8,25 +8,25 @@ package zkvm
 // cost a large serial fraction of a farmed prove (E18). countSegments
 // replays the exact cut schedule of executeSegmented through the same
 // step function, but against an environment that records nothing: no
-// trace rows, no memory log, no boundary images. Only the memory map,
+// trace rows, no memory log, no boundary images. Only the guest memory,
 // the input cursor and the journal (needed for guest-abort parity)
 // are kept, so planning runs at raw emulation speed and allocates
 // almost nothing.
 
 // countEnv is the recording-free twin of emuEnv. Loads and stores hit
-// the memory map directly with no log append; the journal is still
+// the guest memory directly with no log append; the journal is still
 // accumulated because PlanSegments surfaces it on guest aborts.
 type countEnv struct {
-	mem     map[uint32]uint32
+	mem     memory
 	input   []uint32
 	inPtr   int
 	journal []uint32
 }
 
-func (e *countEnv) load(addr uint32) (uint32, error) { return e.mem[addr], nil }
+func (e *countEnv) load(addr uint32) (uint32, error) { return e.mem.get(addr), nil }
 
 func (e *countEnv) store(addr, val uint32) error {
-	e.mem[addr] = val
+	e.mem.set(addr, val)
 	return nil
 }
 
@@ -63,10 +63,10 @@ func countSegments(prog *Program, input []uint32, opts ExecOptions, segmentCycle
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	env := &countEnv{mem: make(map[uint32]uint32), input: input}
+	env := &countEnv{input: input}
 	var (
-		pc      uint32
-		regs    [NumRegs]uint32
+		row     Row
+		next    [NumRegs]uint32
 		segRows int
 	)
 	n = 1
@@ -78,15 +78,14 @@ func countSegments(prog *Program, input []uint32, opts ExecOptions, segmentCycle
 			n++
 			segRows = 0
 		}
-		row := Row{PC: pc, Regs: regs}
 		segRows++
-		nextPC, nextRegs, _, halted, stepErr := step(prog, &row, env)
+		nextPC, _, halted, stepErr := step(prog, &row, &next, env)
 		if stepErr != nil {
-			return 0, 0, nil, &TrapError{PC: pc, Step: stepNo, Reason: stepErr.Error()}
+			return 0, 0, nil, &TrapError{PC: row.PC, Step: stepNo, Reason: stepErr.Error()}
 		}
 		if halted {
-			return n, regs[R1], env.journal, nil
+			return n, row.Regs[R1], env.journal, nil
 		}
-		pc, regs = nextPC, nextRegs
+		row.PC, row.Regs = nextPC, next
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"zkflow/internal/merkle"
@@ -154,19 +153,6 @@ type segmentExecution struct {
 	exitImg  []imagePair
 }
 
-// liveImage canonicalises the current memory map: address-sorted
-// (addr, val) pairs with val != 0.
-func liveImage(mem map[uint32]uint32) []imagePair {
-	img := make([]imagePair, 0, len(mem))
-	for a, v := range mem {
-		if v != 0 {
-			img = append(img, imagePair{Addr: a, Val: v})
-		}
-	}
-	sort.Slice(img, func(i, j int) bool { return img[i].Addr < img[j].Addr })
-	return img
-}
-
 // executeSegmented runs the guest like Execute but cuts the trace
 // every segmentCycles steps. Each non-final segment executes exactly
 // segmentCycles steps and carries one extra boundary row (the
@@ -180,7 +166,7 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	env := &emuEnv{mem: make(map[uint32]uint32), input: input}
+	env := &emuEnv{input: input}
 	var (
 		pc       uint32
 		regs     [NumRegs]uint32
@@ -231,12 +217,10 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 		if len(seg.ex.Rows) == segmentCycles {
 			// Cut: the boundary row below closes this segment and opens
 			// the next. Snapshot the live image first.
-			img := liveImage(env.mem)
-			row := Row{PC: pc, Regs: regs,
-				MemPtr: uint32(len(env.memLog)),
-				InPtr:  uint32(env.inPtr - globalIn),
-				JPtr:   uint32(len(env.journal))}
-			seg.ex.Rows = appendDoubling(seg.ex.Rows, row)
+			img := env.mem.liveImage()
+			row := pushRow(&seg.ex.Rows)
+			row.PC, row.Regs = pc, regs
+			row.MemPtr, row.InPtr, row.JPtr = uint32(len(env.memLog)), uint32(env.inPtr-globalIn), uint32(len(env.journal))
 			seg.ex.MemLog = env.memLog
 			seg.ex.Journal = env.journal
 			globalIn = env.inPtr
@@ -251,13 +235,11 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 			segs = append(segs, seg)
 			seg = newSegment(len(segs), img)
 		}
-		row := Row{PC: pc, Regs: regs,
-			MemPtr: uint32(len(env.memLog)),
-			InPtr:  uint32(env.inPtr - globalIn),
-			JPtr:   uint32(len(env.journal))}
-		seg.ex.Rows = appendDoubling(seg.ex.Rows, row)
+		row := pushRow(&seg.ex.Rows)
+		row.PC, row.Regs = pc, regs
+		row.MemPtr, row.InPtr, row.JPtr = uint32(len(env.memLog)), uint32(env.inPtr-globalIn), uint32(len(env.journal))
 		env.step = uint32(len(seg.ex.Rows) - 1)
-		nextPC, nextRegs, _, halted, err := step(prog, &row, env)
+		nextPC, _, halted, err := step(prog, row, &regs, env)
 		seg.ex.MemLog = env.memLog
 		if err != nil {
 			segs = append(segs, seg)
@@ -267,11 +249,11 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 		if halted {
 			seg.final = true
 			seg.ex.Journal = env.journal
-			seg.ex.ExitCode = regs[R1]
+			seg.ex.ExitCode = row.Regs[R1]
 			segs = append(segs, seg)
 			return segs, nil
 		}
-		pc, regs = nextPC, nextRegs
+		pc = nextPC
 	}
 }
 

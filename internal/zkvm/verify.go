@@ -284,7 +284,8 @@ func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal [
 		journal:  journal,
 		jptr:     rowI.JPtr,
 	}
-	nextPC, nextRegs, counts, halted, err := step(prog, &rowI, env)
+	var nextRegs [NumRegs]uint32
+	nextPC, counts, halted, err := step(prog, &rowI, &nextRegs, env)
 	if err != nil {
 		return fmt.Errorf("replay: %v", err)
 	}
