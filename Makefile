@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test purego race fuzz farm check bench bench-parallel bench-commit verify
+.PHONY: build vet test purego race fuzz farm check bench bench-parallel bench-commit profile verify
 
 build:
 	$(GO) build ./...
@@ -80,5 +80,11 @@ bench-commit:
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
 	$(GO) test -bench='ProveParallel/parallelism=1' -benchmem -run=^$$ .
 	$(GO) run ./cmd/zkflow-bench -json BENCH_PR10.json
+
+# Guest cycle profile at the benchmark's epoch_stream shape (EXPERIMENTS.md
+# E9 and E24): cycles and memory ops per labelled guest region, then rows
+# and memory entries per record.
+profile:
+	$(GO) run ./cmd/zkflow-bench -exp profile
 
 verify: build vet test race

@@ -98,41 +98,32 @@ func AggregationRegions() []zkvm.Region {
 // emitSubroutines appends the shared leaf subroutines. Contract: args
 // and scratch in r1-r7 (caller-saved), r8-r14 preserved, r15 link.
 func emitSubroutines(a *zkvm.Assembler) {
+	// The block helpers below are straight-line: one instruction per
+	// word moved or compared, at an immediate offset from r4/r5, with
+	// no loop counter; r2/r3 are their only scratch.
+
 	// cmp8(r4=A, r5=B) -> r6 = 1 if the 8-word blocks are equal else 0.
 	a.Label("cmp8")
+	for k := uint32(0); k < 8; k++ {
+		a.Lw(zkvm.R2, zkvm.R4, k)
+		a.Lw(zkvm.R3, zkvm.R5, k)
+		a.Bne(zkvm.R2, zkvm.R3, "cmp8.ne")
+	}
 	a.Li(zkvm.R6, 1)
-	a.Li(zkvm.R7, 0)
-	a.Label("cmp8.loop")
-	a.Li(zkvm.R2, 8)
-	a.Beq(zkvm.R7, zkvm.R2, "cmp8.ret")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Lw(zkvm.R3, zkvm.R5, 0)
-	a.Bne(zkvm.R2, zkvm.R3, "cmp8.ne")
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("cmp8.loop")
+	a.Ret()
 	a.Label("cmp8.ne")
 	a.Li(zkvm.R6, 0)
-	a.Label("cmp8.ret")
 	a.Ret()
 
 	// keycmp(r4=A, r5=B) -> r6 = 0 equal, 1 if A<B, 2 if A>B
 	// (lexicographic over the 4 key words).
 	a.Label("keycmp")
-	a.Li(zkvm.R7, 0)
-	a.Label("keycmp.loop")
-	a.Li(zkvm.R2, netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "keycmp.eq")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Lw(zkvm.R3, zkvm.R5, 0)
-	a.Bltu(zkvm.R2, zkvm.R3, "keycmp.lt")
-	a.Bltu(zkvm.R3, zkvm.R2, "keycmp.gt")
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("keycmp.loop")
-	a.Label("keycmp.eq")
+	for k := uint32(0); k < netflow.KeyWords; k++ {
+		a.Lw(zkvm.R2, zkvm.R4, k)
+		a.Lw(zkvm.R3, zkvm.R5, k)
+		a.Bltu(zkvm.R2, zkvm.R3, "keycmp.lt")
+		a.Bltu(zkvm.R3, zkvm.R2, "keycmp.gt")
+	}
 	a.Li(zkvm.R6, 0)
 	a.Ret()
 	a.Label("keycmp.lt")
@@ -144,42 +135,22 @@ func emitSubroutines(a *zkvm.Assembler) {
 
 	// copy13(r4=src, r5=dst) copies one record/entry-sized block.
 	a.Label("copy13")
-	a.Li(zkvm.R7, 0)
-	a.Label("copy13.loop")
-	a.Li(zkvm.R2, recW)
-	a.Beq(zkvm.R7, zkvm.R2, "copy13.ret")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Sw(zkvm.R2, zkvm.R5, 0)
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("copy13.loop")
-	a.Label("copy13.ret")
+	for k := uint32(0); k < recW; k++ {
+		a.Lw(zkvm.R2, zkvm.R4, k)
+		a.Sw(zkvm.R2, zkvm.R5, k)
+	}
 	a.Ret()
 
 	// initentry(r4=record, r5=entry) copies the key and zeroes the
 	// nine aggregate counters.
 	a.Label("initentry")
-	a.Li(zkvm.R7, 0)
-	a.Label("initentry.key")
-	a.Li(zkvm.R2, netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "initentry.zero")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Sw(zkvm.R2, zkvm.R5, 0)
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("initentry.key")
-	a.Label("initentry.zero")
-	a.Li(zkvm.R7, 0)
-	a.Label("initentry.zloop")
-	a.Li(zkvm.R2, entryW-netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "initentry.ret")
-	a.Sw(zkvm.R0, zkvm.R5, 0)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("initentry.zloop")
-	a.Label("initentry.ret")
+	for k := uint32(0); k < netflow.KeyWords; k++ {
+		a.Lw(zkvm.R2, zkvm.R4, k)
+		a.Sw(zkvm.R2, zkvm.R5, k)
+	}
+	for k := uint32(netflow.KeyWords); k < entryW; k++ {
+		a.Sw(zkvm.R0, zkvm.R5, k)
+	}
 	a.Ret()
 
 	// mergerec(r4=record, r5=entry) folds one record into an entry
@@ -264,6 +235,25 @@ func emitSubroutines(a *zkvm.Assembler) {
 	a.Ret()
 }
 
+// emitReadBlock reads n input words into mem[base..base+n) with
+// immediate offsets, then advances base by n.
+func emitReadBlock(a *zkvm.Assembler, base int, n uint32) {
+	for k := uint32(0); k < n; k++ {
+		a.Ecall(zkvm.SysRead)
+		a.Sw(zkvm.R1, base, k)
+	}
+	a.Addi(base, base, n)
+}
+
+// emitJournalBlock journals the n words at mem[base..base+n) with
+// immediate offsets.
+func emitJournalBlock(a *zkvm.Assembler, base int, n uint32) {
+	for k := uint32(0); k < n; k++ {
+		a.Lw(zkvm.R1, base, k)
+		a.Ecall(zkvm.SysJournal)
+	}
+}
+
 // buildAggregation assembles the Algorithm 1 guest.
 func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a := zkvm.NewAssembler()
@@ -337,11 +327,10 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Li(zkvm.R13, recW)
 	a.Mul(zkvm.R13, zkvm.R11, zkvm.R13)
 	a.Add(zkvm.R13, zkvm.R13, zkvm.R9) // region end
+	// One record per iteration.
 	a.Label("router.words")
 	a.Beq(zkvm.R9, zkvm.R13, "router.hash")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
+	emitReadBlock(a, zkvm.R9, recW)
 	a.J("router.words")
 	a.Label("router.hash")
 	a.Add(zkvm.R10, zkvm.R10, zkvm.R11)
@@ -373,44 +362,38 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 
 	// --- Phase D: apply + verify the permutation ---
 	a.Comment("apply the permutation; verify bijectivity and sortedness")
-	a.Li(zkvm.R8, 0) // i
+	a.Lw(zkvm.R10, zkvm.R0, gBaseFlag)
+	a.Lw(zkvm.R11, zkvm.R0, gBaseRec)
+	a.Lw(zkvm.R12, zkvm.R0, gBaseSort) // dst = sort base + 13i
+	a.Lw(zkvm.R13, zkvm.R0, gBasePerm) // &perm[i]
+	a.Li(zkvm.R8, 0)                   // i
 	a.Lw(zkvm.R14, zkvm.R0, gM)
 	a.Label("sortcopy.loop")
 	a.Beq(zkvm.R8, zkvm.R14, "sortcopy.done")
-	a.Lw(zkvm.R2, zkvm.R0, gBasePerm)
-	a.Add(zkvm.R2, zkvm.R2, zkvm.R8)
-	a.Lw(zkvm.R9, zkvm.R2, 0) // p = perm[i]
+	a.Lw(zkvm.R9, zkvm.R13, 0) // p = perm[i]
 	a.Bgeu(zkvm.R9, zkvm.R14, "abort.perm")
-	a.Lw(zkvm.R2, zkvm.R0, gBaseFlag)
-	a.Add(zkvm.R2, zkvm.R2, zkvm.R9)
+	a.Add(zkvm.R2, zkvm.R10, zkvm.R9)
 	a.Lw(zkvm.R3, zkvm.R2, 0)
 	a.Bne(zkvm.R3, zkvm.R0, "abort.perm") // index reused
 	a.Li(zkvm.R3, 1)
 	a.Sw(zkvm.R3, zkvm.R2, 0)
-	// src = rec base + 13p; dst = sort base + 13i.
+	// src = rec base + 13p.
 	a.Li(zkvm.R4, recW)
 	a.Mul(zkvm.R4, zkvm.R4, zkvm.R9)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseRec)
-	a.Add(zkvm.R4, zkvm.R4, zkvm.R2)
-	a.Li(zkvm.R5, recW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseSort)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
+	a.Add(zkvm.R4, zkvm.R4, zkvm.R11)
+	a.Mov(zkvm.R5, zkvm.R12)
 	a.Call("copy13")
 	// Sortedness: key(sort[i-1]) must not exceed key(sort[i]).
 	a.Beq(zkvm.R8, zkvm.R0, "sortcopy.next")
-	a.Li(zkvm.R5, recW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseSort)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
-	a.Addi(zkvm.R4, zkvm.R5, 0)
-	a.Li(zkvm.R2, recW)
-	a.Sub(zkvm.R4, zkvm.R4, zkvm.R2)
+	a.Addi(zkvm.R4, zkvm.R12, ^uint32(recW-1)) // sort[i-1]
+	a.Mov(zkvm.R5, zkvm.R12)
 	a.Call("keycmp")
 	a.Li(zkvm.R2, 2)
 	a.Beq(zkvm.R6, zkvm.R2, "abort.perm")
 	a.Label("sortcopy.next")
 	a.Addi(zkvm.R8, zkvm.R8, 1)
+	a.Addi(zkvm.R12, zkvm.R12, recW)
+	a.Addi(zkvm.R13, zkvm.R13, 1)
 	a.J("sortcopy.loop")
 	a.Label("sortcopy.done")
 
@@ -418,28 +401,22 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Comment("read the previous CLog; verify strict key order")
 	a.Lw(zkvm.R9, zkvm.R0, gBasePrev)
 	a.Lw(zkvm.R13, zkvm.R0, gBaseDig1) // = prev end
+	// One entry per iteration.
 	a.Label("prev.read")
 	a.Beq(zkvm.R9, zkvm.R13, "prev.sorted")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
+	emitReadBlock(a, zkvm.R9, entryW)
 	a.J("prev.read")
 	a.Label("prev.sorted")
-	a.Li(zkvm.R8, 1)
-	a.Lw(zkvm.R14, zkvm.R0, gPrev)
+	a.Lw(zkvm.R9, zkvm.R0, gBasePrev)
+	a.Addi(zkvm.R9, zkvm.R9, entryW) // &prev[1]; r13 = prev end
 	a.Label("prev.order")
-	a.Bgeu(zkvm.R8, zkvm.R14, "prev.root")
-	a.Li(zkvm.R5, entryW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBasePrev)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
-	a.Addi(zkvm.R4, zkvm.R5, 0)
-	a.Li(zkvm.R2, entryW)
-	a.Sub(zkvm.R4, zkvm.R4, zkvm.R2)
+	a.Bgeu(zkvm.R9, zkvm.R13, "prev.root")
+	a.Addi(zkvm.R4, zkvm.R9, ^uint32(entryW-1)) // prev[i-1]
+	a.Mov(zkvm.R5, zkvm.R9)
 	a.Call("keycmp")
 	a.Li(zkvm.R2, 1)
 	a.Bne(zkvm.R6, zkvm.R2, "abort.prevsort")
-	a.Addi(zkvm.R8, zkvm.R8, 1)
+	a.Addi(zkvm.R9, zkvm.R9, entryW)
 	a.J("prev.order")
 
 	// --- Phase F: authenticate the previous root (in-VM rebuild) ---
@@ -459,21 +436,19 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 
 	// --- Phase G: merge-join (Algorithm 1 lines 13-23) ---
 	a.Comment("merge-join sorted records with the previous CLog")
-	a.Li(zkvm.R8, 0)  // i: sorted record index
-	a.Li(zkvm.R10, 0) // p: prev entry index
-	a.Li(zkvm.R12, 0) // n: new entry count
-	a.Lw(zkvm.R9, zkvm.R0, gBaseSort)
-	a.Lw(zkvm.R11, zkvm.R0, gBasePrev)
-	a.Lw(zkvm.R13, zkvm.R0, gBaseNew)
-	a.Lw(zkvm.R14, zkvm.R0, gM)
+	// Cursors run to end pointers, so no loop reloads a global.
+	a.Li(zkvm.R12, 0)                  // n: new entry count
+	a.Lw(zkvm.R9, zkvm.R0, gBaseSort)  // next sorted record
+	a.Lw(zkvm.R11, zkvm.R0, gBasePrev) // next prev entry
+	a.Lw(zkvm.R13, zkvm.R0, gBaseNew)  // next new entry
+	a.Mov(zkvm.R14, zkvm.R13)          // sorted records end where new entries start
+	a.Lw(zkvm.R10, zkvm.R0, gBaseDig1) // prev entries end where digests start
 	a.Label("merge.loop")
-	a.Bne(zkvm.R8, zkvm.R14, "merge.haverec")
-	a.Lw(zkvm.R7, zkvm.R0, gPrev)
-	a.Beq(zkvm.R10, zkvm.R7, "merge.done")
+	a.Bne(zkvm.R9, zkvm.R14, "merge.haverec")
+	a.Beq(zkvm.R11, zkvm.R10, "merge.done")
 	a.J("merge.takeprev")
 	a.Label("merge.haverec")
-	a.Lw(zkvm.R7, zkvm.R0, gPrev)
-	a.Beq(zkvm.R10, zkvm.R7, "merge.takerec")
+	a.Beq(zkvm.R11, zkvm.R10, "merge.takerec")
 	a.Mov(zkvm.R4, zkvm.R9)
 	a.Mov(zkvm.R5, zkvm.R11)
 	a.Call("keycmp")
@@ -485,14 +460,12 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Mov(zkvm.R4, zkvm.R11)
 	a.Mov(zkvm.R5, zkvm.R13)
 	a.Call("copy13")
-	a.Addi(zkvm.R10, zkvm.R10, 1)
 	a.Addi(zkvm.R11, zkvm.R11, entryW)
 	a.J("merge.absorb")
 	a.Label("merge.takeprev")
 	a.Mov(zkvm.R4, zkvm.R11)
 	a.Mov(zkvm.R5, zkvm.R13)
 	a.Call("copy13")
-	a.Addi(zkvm.R10, zkvm.R10, 1)
 	a.Addi(zkvm.R11, zkvm.R11, entryW)
 	a.J("merge.emit")
 	a.Label("merge.takerec")
@@ -500,7 +473,7 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Mov(zkvm.R5, zkvm.R13)
 	a.Call("initentry")
 	a.Label("merge.absorb")
-	a.Beq(zkvm.R8, zkvm.R14, "merge.emit")
+	a.Beq(zkvm.R9, zkvm.R14, "merge.emit")
 	a.Mov(zkvm.R4, zkvm.R9)
 	a.Mov(zkvm.R5, zkvm.R13)
 	a.Call("keycmp")
@@ -508,7 +481,6 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Mov(zkvm.R4, zkvm.R9)
 	a.Mov(zkvm.R5, zkvm.R13)
 	a.Call("mergerec")
-	a.Addi(zkvm.R8, zkvm.R8, 1)
 	a.Addi(zkvm.R9, zkvm.R9, recW)
 	a.J("merge.absorb")
 	a.Label("merge.emit")
@@ -526,32 +498,23 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Lw(zkvm.R5, zkvm.R0, gNewCount)
 	a.Lw(zkvm.R6, zkvm.R0, gBaseDig2)
 	a.Call("leafhashes")
-	a.Li(zkvm.R8, 0)
-	a.Lw(zkvm.R14, zkvm.R0, gNewCount)
-	a.Slli(zkvm.R14, zkvm.R14, 3) // n*8 digest words
 	a.Lw(zkvm.R9, zkvm.R0, gBaseDig2)
+	a.Lw(zkvm.R14, zkvm.R0, gNewCount)
+	a.Slli(zkvm.R14, zkvm.R14, 3)
+	a.Add(zkvm.R14, zkvm.R14, zkvm.R9) // end of the n*8 digest words
+	// One digest per iteration.
 	a.Label("jdig.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jdig.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
+	a.Beq(zkvm.R9, zkvm.R14, "jdig.done")
+	emitJournalBlock(a, zkvm.R9, 8)
+	a.Addi(zkvm.R9, zkvm.R9, 8)
 	a.J("jdig.loop")
 	a.Label("jdig.done")
 	a.Lw(zkvm.R4, zkvm.R0, gBaseDig2)
 	a.Lw(zkvm.R5, zkvm.R0, gNewCount)
 	a.Call("reduce")
-	a.Li(zkvm.R8, 0)
-	a.Li(zkvm.R14, 8)
+	a.Label("jroot")
 	a.Lw(zkvm.R9, zkvm.R0, gBaseDig2)
-	a.Label("jroot.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jroot.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("jroot.loop")
-	a.Label("jroot.done")
+	emitJournalBlock(a, zkvm.R9, 8)
 	a.HaltCode(0)
 
 	// --- Aborts ---

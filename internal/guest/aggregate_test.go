@@ -2,6 +2,7 @@ package guest
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"zkflow/internal/clog"
@@ -327,6 +328,205 @@ func TestReferenceAggregateMatchesCLog(t *testing.T) {
 	for i := range ref {
 		if ref[i] != es[i] {
 			t.Fatalf("entry %d: %+v vs %+v", i, ref[i], es[i])
+		}
+	}
+}
+
+// permOffset returns the tape index of the first sort-permutation word
+// in in.Words(): the 20 header words, then per router its ID, 8
+// commitment words, record count and records.
+func permOffset(in *AggInput) int {
+	off := 8 + 8 + 1 + 3
+	for _, r := range in.Routers {
+		off += 1 + 8 + 1 + len(r.Records)*recW
+	}
+	return off
+}
+
+// runTape executes the aggregation guest on a raw tape and returns its
+// exit code.
+func runTape(t *testing.T, words []uint32) uint32 {
+	t.Helper()
+	ex, err := zkvm.Execute(AggregationProgram(), words, zkvm.ExecOptions{})
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	return ex.ExitCode
+}
+
+func TestAggregationAbortsOnCountMismatch(t *testing.T) {
+	in := &AggInput{Routers: genBatches(14, 3, 5)}
+	for _, delta := range []uint32{1, ^uint32(0)} { // declare m+1, then m-1
+		words := in.Words()
+		words[8+8+1+1] += delta // declared total record count
+		if code := runTape(t, words); code != AbortCountMismatch {
+			t.Fatalf("declared m%+d: exit %d, want AbortCountMismatch", int32(delta), code)
+		}
+	}
+}
+
+func TestAggregationAbortsOnBadPermutation(t *testing.T) {
+	in := &AggInput{Routers: genBatches(15, 3, 6)}
+	m := uint32(3 * 6)
+	base := in.Words()
+	off := permOffset(in)
+	// Find sorted positions i, i+1 whose keys differ strictly, so that
+	// swapping them breaks the order.
+	var recs []netflow.Record
+	for _, r := range in.Routers {
+		recs = append(recs, r.Records...)
+	}
+	swap := -1
+	for i := 0; i+1 < int(m); i++ {
+		if recs[base[off+i]].Key.Less(recs[base[off+i+1]].Key) {
+			swap = i
+			break
+		}
+	}
+	if swap < 0 {
+		t.Fatal("input has no two distinct keys")
+	}
+	cases := []struct {
+		name   string
+		tamper func(w []uint32)
+	}{
+		{"index equals m", func(w []uint32) { w[off] = m }},
+		{"index far past m", func(w []uint32) { w[off+int(m)-1] = 0xffffffff }},
+		{"index reused", func(w []uint32) { w[off+1] = w[off] }},
+		{"index reused last", func(w []uint32) { w[off+int(m)-1] = w[off+int(m)-2] }},
+		{"unsorted keys", func(w []uint32) { w[off+swap], w[off+swap+1] = w[off+swap+1], w[off+swap] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			words := append([]uint32(nil), base...)
+			tc.tamper(words)
+			if code := runTape(t, words); code != AbortBadPermutation {
+				t.Fatalf("exit %d, want AbortBadPermutation", code)
+			}
+		})
+	}
+}
+
+// edgeKeys returns flow keys that pairwise differ in exactly one key
+// word (each of the four), plus the all-zero and all-ones keys, so that
+// sorting, the previous-CLog order check and the merge reach every
+// early exit of the key comparison.
+func edgeKeys(rng *rand.Rand) []netflow.FlowKey {
+	base := netflow.FlowKey{
+		SrcIP: rng.Uint32() | 1, DstIP: rng.Uint32() | 1,
+		SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1<<16-1)) | 1,
+		Proto: uint8(1 + rng.Intn(200)),
+	}
+	keys := []netflow.FlowKey{base, {}, {SrcIP: 0xffffffff, DstIP: 0xffffffff, SrcPort: 0xffff, DstPort: 0xffff, Proto: 0xff}}
+	for w := 0; w < netflow.KeyWords; w++ {
+		for _, d := range []int{-1, 1} {
+			k := base
+			switch w {
+			case 0:
+				k.SrcIP += uint32(d)
+			case 1:
+				k.DstIP += uint32(d)
+			case 2:
+				k.DstPort += uint16(d)
+			case 3:
+				k.Proto += uint8(d)
+			}
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// edgeRecord draws a record on one of keys whose counters are random,
+// 0xffffffff (so additive merges wrap) or zero.
+func edgeRecord(rng *rand.Rand, keys []netflow.FlowKey) netflow.Record {
+	word := func() uint32 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0xffffffff
+		case 1:
+			return 0
+		default:
+			return rng.Uint32()
+		}
+	}
+	return netflow.Record{
+		Key: keys[rng.Intn(len(keys))], Packets: word(), Bytes: word(), Dropped: word(), HopCount: word(),
+		RTTMicros: word(), JitterMicros: word(), StartUnix: word(), EndUnix: word(), RouterID: word(),
+	}
+}
+
+// TestAggregationDifferential runs the guest against ReferenceAggregate
+// on seeded edge-case inputs: keys that differ in one word only, the
+// all-ones key, wrapping counters, empty and non-empty previous CLogs,
+// and commitments or previous roots corrupted in one word (so every
+// early exit of the digest comparison aborts the run).
+func TestAggregationDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys := edgeKeys(rng)
+		var prev []clog.Entry
+		if rng.Intn(3) > 0 {
+			batch := make([]netflow.Record, 1+rng.Intn(12))
+			for i := range batch {
+				batch[i] = edgeRecord(rng, keys)
+			}
+			prev = ReferenceAggregate(nil, batch)
+		}
+		in := &AggInput{PrevRoot: prevRootOf(prev), Epoch: uint32(seed), PrevEntries: prev}
+		for i := range in.PrevJournalHash {
+			in.PrevJournalHash[i] = rng.Uint32()
+		}
+		var batches [][]netflow.Record
+		for r := 0; r < 1+rng.Intn(3); r++ {
+			recs := make([]netflow.Record, rng.Intn(8))
+			for i := range recs {
+				recs[i] = edgeRecord(rng, keys)
+			}
+			batches = append(batches, recs)
+			in.Routers = append(in.Routers, RouterBatch{ID: uint32(r) + 7, Commitment: commitOf(recs), Records: recs})
+		}
+		wantCode := uint32(0)
+		switch rng.Intn(5) {
+		case 0:
+			in.Routers[rng.Intn(len(in.Routers))].Commitment[rng.Intn(8)] ^= 1 << rng.Intn(32)
+			wantCode = AbortCommitMismatch
+		case 1:
+			in.PrevRoot[rng.Intn(8)] ^= 1 << rng.Intn(32)
+			wantCode = AbortPrevRootMismatch
+		}
+
+		ex, err := runAgg(t, in)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ex.ExitCode != wantCode {
+			t.Fatalf("seed %d: exit %d, want %d", seed, ex.ExitCode, wantCode)
+		}
+		if wantCode != 0 {
+			continue
+		}
+		j, err := ParseAggJournal(ex.Journal)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := ReferenceAggregate(prev, batches...)
+		if int(j.NewCount) != len(want) || j.NewRoot != prevRootOf(want) {
+			t.Fatalf("seed %d: guest %d entries, reference %d (or roots differ)", seed, j.NewCount, len(want))
+		}
+		for i, d := range vmtree.LeafDigests(EntryWordsOf(want)) {
+			if j.LeafDigests[i] != d {
+				t.Fatalf("seed %d: leaf digest %d differs", seed, i)
+			}
+		}
+		if j.PrevJournalHash != in.PrevJournalHash || j.PrevRoot != in.PrevRoot || j.Epoch != in.Epoch ||
+			int(j.NumRouters) != len(in.Routers) || int(j.PrevCount) != len(prev) {
+			t.Fatalf("seed %d: journal header %+v", seed, j)
+		}
+		for r, b := range in.Routers {
+			if j.RouterIDs[r] != b.ID || j.Commitments[r] != b.Commitment {
+				t.Fatalf("seed %d: router %d journaled wrong", seed, r)
+			}
 		}
 	}
 }

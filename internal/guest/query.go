@@ -48,11 +48,10 @@ func QueryProgram(q *query.Query) *zkvm.Program {
 	a.Comment("read the CLog snapshot")
 	a.Li(zkvm.R9, recBase)
 	a.Lw(zkvm.R13, zkvm.R0, qBaseDig)
+	// One entry per iteration.
 	a.Label("read.loop")
 	a.Beq(zkvm.R9, zkvm.R13, "read.done")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
+	emitReadBlock(a, zkvm.R9, entryW)
 	a.J("read.loop")
 	a.Label("read.done")
 
@@ -64,17 +63,9 @@ func QueryProgram(q *query.Query) *zkvm.Program {
 	a.Lw(zkvm.R4, zkvm.R0, qBaseDig)
 	a.Lw(zkvm.R5, zkvm.R0, qCount)
 	a.Call("reduce")
-	a.Li(zkvm.R8, 0)
-	a.Li(zkvm.R14, 8)
+	a.Label("jroot")
 	a.Lw(zkvm.R9, zkvm.R0, qBaseDig)
-	a.Label("jroot.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jroot.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("jroot.loop")
-	a.Label("jroot.done")
+	emitJournalBlock(a, zkvm.R9, 8)
 
 	a.Comment("filter + aggregate")
 	a.Li(zkvm.R8, recBase)            // entry cursor

@@ -49,13 +49,16 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestPooledBufferReuse pins that the pool actually recycles: a
-// get/put cycle at a warm size class must not allocate.
+// get/put cycle at a warm size class must not allocate. The assertion
+// holds only outside -race builds, whose runtime drops sync.Pool Puts
+// at random.
 func TestPooledBufferReuse(t *testing.T) {
 	PutBuf(GetBuf(1 << 10)) // warm the class
-	if a := testing.AllocsPerRun(10, func() {
+	a := testing.AllocsPerRun(10, func() {
 		b := GetBuf(1 << 10)
 		PutBuf(b)
-	}); a > 0 {
+	})
+	if a > 0 && !raceEnabled {
 		t.Fatalf("warm GetBuf/PutBuf allocates %v per run, want 0", a)
 	}
 }
